@@ -48,7 +48,7 @@ def main() -> None:
     )
 
     start = time.perf_counter()
-    reports = reproduce_table(config, workers=0)
+    reports = reproduce_table(config)
     elapsed = time.perf_counter() - start
 
     print(f"done in {elapsed:.1f}s; outputs in {config.output_dir}/")

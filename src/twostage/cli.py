@@ -1,9 +1,10 @@
-"""Command-line harness: fit models, evaluate risk, print bounds, reproduce
-the benchmark table, and dump scatter data.
+"""Command-line harness: fit models, estimate from data, evaluate risk,
+print bounds, reproduce the benchmark table, and dump scatter data.
 
 Configuration comes from an optional JSON file (mirroring the experiment
 config field names) with flags overriding individual values.  Exit codes:
-0 success, 2 invalid configuration, 3 solver failure, 4 I/O failure.
+0 success, 2 invalid configuration, model file or data, 3 solver failure,
+4 I/O failure.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def _run(action):
         click.echo(f"solver failure: {err}", err=True)
         sys.exit(3)
     except (ValueError, KeyError, TypeError) as err:
-        click.echo(f"invalid configuration: {err}", err=True)
+        click.echo(f"invalid input: {err}", err=True)
         sys.exit(2)
     except OSError as err:
         click.echo(f"i/o failure: {err}", err=True)
@@ -120,6 +121,24 @@ def fit(config_path, seed, m_theta, n_obs, n_quantiles, ridge, prior, method,
             f"fitted {chosen} model (fingerprint {model.config_fingerprint}) "
             f"-> {target}"
         )
+
+    _run(action)
+
+
+@main.command(name="estimate")
+@click.option("--model", "model_path", type=click.Path(), required=True,
+              help="Model file written by `fit`.")
+@click.option("--data", "data_path", type=click.Path(), required=True,
+              help="Text file of positive observations separated by whitespace.")
+def estimate_command(model_path, data_path):
+    """Print the (scale, shape) estimate of one dataset."""
+
+    def action():
+        model = est.load_model(model_path)
+        y = [float(tok) for tok in Path(data_path).read_text().split()]
+        eta_hat, gamma_hat = est.estimate(model, y)
+        click.echo("est_eta,est_gamma")
+        click.echo(f"{eta_hat:.17g},{gamma_hat:.17g}")
 
     _run(action)
 

@@ -10,6 +10,7 @@ quantiles plus their ratios against the top quantile.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,10 +50,7 @@ class CompressedVector:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("values must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
-        if np.any(np.diff(vals) < 0):
-            raise ValueError("quantile values must be non-decreasing")
+        validate_quantiles(vals)
 
     @property
     def n(self) -> int:
@@ -133,6 +131,73 @@ def sample_quantile(y_sorted, p: float) -> float:
     return float(min(max(raw, arr[lo]), arr[hi]))
 
 
+@dataclass(frozen=True, eq=False)
+class QuantilePlan:
+    """Where the sample quantiles at p = k/n, k = 1..n, of an n_obs-sample
+    sit among its order statistics: the same positions as sample_quantile.
+
+    ``ranks`` holds the distinct zero-based ranks of the order statistics
+    the quantiles read, ascending; quantile k lies ``frac[k]`` of the way
+    from the order statistic at ``ranks[lower[k]]`` to the one at
+    ``ranks[upper[k]]``.  Build one with quantile_plan.
+    """
+
+    ranks: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    frac: np.ndarray
+
+    def quantiles(self, stats) -> np.ndarray:
+        """Sample quantiles along the last axis of ``stats``, which holds
+        each sample's order statistics at ``ranks``; elementwise the same
+        arithmetic as sample_quantile.  The result is in C order."""
+        lower = np.take(stats, self.lower, axis=-1)
+        upper = np.take(stats, self.upper, axis=-1)
+        span = upper - lower
+        frac = self.frac
+        # two-sided lerp keeps accuracy at extreme fractions
+        raw = np.where(frac <= 0.5, lower + frac * span, upper - (1.0 - frac) * span)
+        # the true quantile lies in [lower, upper]; clamp away rounding overshoot
+        return np.minimum(np.maximum(raw, lower), upper)
+
+
+@functools.lru_cache(maxsize=256)
+def quantile_plan(n_obs: int, n: int) -> QuantilePlan:
+    """The QuantilePlan of an n_obs-sample compressed to n quantiles.
+
+    Plans are cached, since every estimate needs one, and so are read-only.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n_obs < 2:
+        raise ValueError("the sample must have at least 2 entries")
+    pos = np.arange(1, n + 1) / n * (n_obs - 1)
+    lo = np.floor(pos)
+    frac = pos - lo
+    lo = lo.astype(np.intp)
+    hi = np.minimum(lo + 1, n_obs - 1)
+    ranks, index = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+    plan = QuantilePlan(ranks, index[:n], index[n:], frac)
+    for array in (plan.ranks, plan.lower, plan.upper, plan.frac):
+        array.flags.writeable = False
+    return plan
+
+
+def validate_quantiles(values) -> None:
+    """Raise ValueError unless every row (last axis) of quantiles is finite
+    and non-decreasing."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    if np.any(values[..., 1:] < values[..., :-1]):
+        raise ValueError("quantile values must be non-decreasing")
+
+
+def sorted_quantiles(ys, n: int) -> np.ndarray:
+    """Quantiles at p = k/n for k = 1..n of a sample already sorted ascending."""
+    plan = quantile_plan(ys.size, n)
+    return plan.quantiles(ys[plan.ranks])
+
+
 def compress(y, n: int) -> CompressedVector:
     """Quantiles of y at p = k/n for k = 1..n.
 
@@ -143,17 +208,50 @@ def compress(y, n: int) -> CompressedVector:
         raise ValueError("n must be >= 1")
     if arr.size <= n:
         raise ValueError(f"need more than n={n} observations, got {arr.size}")
-    ys = order_statistics(arr)
-    vals = np.array([sample_quantile(ys, k / n) for k in range(1, n + 1)])
-    return CompressedVector(vals)
+    return CompressedVector(sorted_quantiles(order_statistics(arr), n))
+
+
+def scale_features(alphas: np.ndarray) -> np.ndarray:
+    """feature_scale of every row of a quantile matrix, in C order."""
+    rows, n = alphas.shape
+    if np.any(alphas[:, 0] == 0.0):
+        raise DegenerateInputError("first quantile is zero; ratio features undefined")
+    out = np.empty((rows, scale_feature_len(n)))
+    out[:, :n] = alphas
+    np.divide(alphas[:, 1:], alphas[:, :1], out=out[:, n:])
+    return out
+
+
+def shape_features(alphas: np.ndarray) -> np.ndarray:
+    """feature_shape of every row of a quantile matrix, in C order."""
+    rows, n = alphas.shape
+    top = alphas[:, n - 1 :]
+    if np.any(top == 0.0):
+        raise DegenerateInputError("top quantile is zero; ratio features undefined")
+    k = scale_feature_len(n)
+    out = np.empty((rows, shape_feature_len(n)))
+    out[:, 0] = 1.0
+    psi = out[:, 1 : k + 1]
+    psi[:, :n] = alphas
+    np.divide(alphas[:, : n - 1], top, out=psi[:, n:])
+    jj, kk = _upper_pairs(k)
+    np.multiply(psi[:, jj], psi[:, kk], out=out[:, k + 1 :])
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(k), cached and read-only: it costs more than the
+    rest of a one-row shape feature map."""
+    pairs = np.triu_indices(k)
+    for array in pairs:
+        array.flags.writeable = False
+    return pairs
 
 
 def feature_scale(alpha: CompressedVector) -> FeatureVector:
     """Quantiles followed by the ratios a_2/a_1, ..., a_n/a_1 (length 2n-1)."""
-    a = alpha.values
-    if a[0] == 0.0:
-        raise DegenerateInputError("first quantile is zero; ratio features undefined")
-    return FeatureVector(np.concatenate([a, a[1:] / a[0]]), FeatureKind.SCALE)
+    return FeatureVector(scale_features(alpha.values[None])[0], FeatureKind.SCALE)
 
 
 def feature_shape(alpha: CompressedVector) -> FeatureVector:
@@ -162,11 +260,4 @@ def feature_shape(alpha: CompressedVector) -> FeatureVector:
     The output is [1] + [psi_j] + [psi_j * psi_k for j <= k, row-major];
     for n quantiles that is 1 + (2n-1) + (2n-1)(2n)/2 entries.
     """
-    a = alpha.values
-    n = alpha.n
-    if a[n - 1] == 0.0:
-        raise DegenerateInputError("top quantile is zero; ratio features undefined")
-    psi = np.concatenate([a, a[: n - 1] / a[n - 1]])
-    jj, kk = np.triu_indices(psi.size)
-    quad = psi[jj] * psi[kk]
-    return FeatureVector(np.concatenate([[1.0], psi, quad]), FeatureKind.SHAPE)
+    return FeatureVector(shape_features(alpha.values[None])[0], FeatureKind.SHAPE)

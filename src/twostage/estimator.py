@@ -21,16 +21,18 @@ from . import solvers
 from .compression import (
     CompressedVector,
     FeatureKind,
-    compress,
-    feature_scale,
-    feature_shape,
+    order_statistics,
+    quantile_plan,
     scale_feature_len,
+    scale_features,
     shape_feature_len,
+    shape_features,
+    sorted_quantiles,
+    validate_quantiles,
 )
-from .parallel import indexed_map
 from .priors import PriorKind, PriorSpec, prior_inverse_cdf
 from .rng import SeedSpec, stream
-from .weibull import WeibullParams, weibull_quantile
+from .weibull import sample_uniform_order_statistics, weibull_quantile_rows
 
 METHOD_BAYES = "bayes"
 METHOD_MINIMAX = "minimax"
@@ -42,6 +44,10 @@ EVAL_STREAM = 2
 SCATTER_STREAM = 3
 
 MODEL_FORMAT_VERSION = 1
+
+# rows read out per feature matrix: bounds the memory of the shape features
+# (210 columns for n = 10) however many datasets are estimated
+_BLOCK_ROWS = 1024
 
 
 def _default_distribution() -> PriorSpec:
@@ -115,32 +121,63 @@ class TrainingSet:
         return CompressedVector(self.alphas[row])
 
 
-def generate_training_set(config: TrainingConfig, workers: int | None = None) -> TrainingSet:
+def dataset_draws(config: TrainingConfig, paths) -> np.ndarray:
+    """Row r: the uniform order statistics that the quantiles of a dataset
+    of config.n_obs observations read, drawn from the sub-stream
+    ``stream(config.seed, *paths[r])``.  Mapped through the Weibull quantile
+    function of any parameters, they give that dataset's quantiles (see
+    simulated_quantiles)."""
+    plan = quantile_plan(config.n_obs, config.n_quantiles)
+    return sample_uniform_order_statistics(config.seed, paths, config.n_obs, plan.ranks)
+
+
+def simulated_quantiles(config: TrainingConfig, draws, scales, shapes) -> np.ndarray:
+    """Compressed vectors, one row per row of ``draws`` (uniform order
+    statistics from dataset_draws), of the datasets simulated from the
+    parameters (scales[r], shapes[r])."""
+    plan = quantile_plan(config.n_obs, config.n_quantiles)
+    draws = np.asarray(draws, dtype=float)
+    if draws.ndim != 2 or draws.shape[1] != plan.ranks.size:
+        raise ValueError(
+            f"draws must have {plan.ranks.size} order statistics per row for "
+            f"n_obs={config.n_obs}, n_quantiles={config.n_quantiles}"
+        )
+    return plan.quantiles(weibull_quantile_rows(draws, scales, shapes))
+
+
+def training_draws(config: TrainingConfig) -> np.ndarray:
+    """Uniform order statistics of the training datasets: row i*m_y + j is
+    dataset j of parameter draw i, from its own (i, j) sub-stream.  They do
+    not depend on the parameter distribution, so fits that differ only in
+    it can share them."""
+    paths = [
+        (TRAIN_DATA_STREAM, i, j) for i in range(config.m_theta) for j in range(config.m_y)
+    ]
+    return dataset_draws(config, paths)
+
+
+def generate_training_set(config: TrainingConfig, draws=None) -> TrainingSet:
     """Draw parameters from the configured distribution and compress one
     simulated dataset per (draw, replicate).
 
-    Deterministic given config.seed and independent of the worker schedule:
-    every dataset has its own (i, j)-indexed sub-stream.
+    Deterministic given config.seed: every dataset has its own
+    (i, j)-indexed sub-stream.  ``draws`` are training_draws(config), drawn
+    here when not given.
     """
     dist, seed = config.theta_distribution, config.seed
-    m, my, n_obs, n_q = config.m_theta, config.m_y, config.n_obs, config.n_quantiles
+    m, my = config.m_theta, config.m_y
 
     thetas = np.empty((m, 2))
     thetas[:, 0] = prior_inverse_cdf(stream(seed, THETA_STREAM, 0).random(m), dist)
     thetas[:, 1] = prior_inverse_cdf(stream(seed, THETA_STREAM, 1).random(m), dist)
-
-    alphas = np.empty((m * my, n_q))
     parent = np.repeat(np.arange(m), my)
 
-    def simulate_one(i: int) -> None:
-        params = WeibullParams(thetas[i, 0], thetas[i, 1])
-        for j in range(my):
-            u = stream(seed, TRAIN_DATA_STREAM, i, j).random(n_obs)
-            y = weibull_quantile(u, params)
-            alphas[i * my + j] = compress(y, n_q).values
-
-    indexed_map(simulate_one, m, workers)
-    return TrainingSet(thetas=thetas, alphas=alphas, parent_index=parent, n_obs=n_obs)
+    if draws is None:
+        draws = training_draws(config)
+    elif len(draws) != m * my:
+        raise ValueError(f"expected {m * my} rows of training draws, got {len(draws)}")
+    alphas = simulated_quantiles(config, draws, thetas[parent, 0], thetas[parent, 1])
+    return TrainingSet(thetas=thetas, alphas=alphas, parent_index=parent, n_obs=config.n_obs)
 
 
 @dataclass(frozen=True)
@@ -165,8 +202,16 @@ class TSModel:
 
 def build_feature_matrix(alphas: np.ndarray, kind: FeatureKind) -> np.ndarray:
     """Stack the chosen feature map over the rows of a quantile matrix."""
-    builder = feature_scale if kind is FeatureKind.SCALE else feature_shape
-    return np.vstack([builder(CompressedVector(row)).values for row in alphas])
+    alphas = _quantile_rows(alphas)
+    return scale_features(alphas) if kind is FeatureKind.SCALE else shape_features(alphas)
+
+
+def _quantile_rows(alphas) -> np.ndarray:
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 2 or alphas.shape[1] < 1:
+        raise ValueError("alphas must be a matrix with one quantile vector per row")
+    validate_quantiles(alphas)
+    return alphas
 
 
 def fit_from_training_set(
@@ -200,26 +245,22 @@ def fit_from_training_set(
     )
 
 
-def fit_bayes(config: TrainingConfig, workers: int | None = None) -> TSModel:
+def fit_bayes(config: TrainingConfig) -> TSModel:
     """Average-risk fit: ridge regression of each parameter on its features."""
-    training_set = generate_training_set(config, workers)
+    training_set = generate_training_set(config)
     return fit_from_training_set(
         training_set, config.ridge, METHOD_BAYES, config.fingerprint()
     )
 
 
-def fit_minimax(
-    config: TrainingConfig,
-    tolerance: float | None = None,
-    workers: int | None = None,
-) -> TSModel:
+def fit_minimax(config: TrainingConfig, tolerance: float | None = None) -> TSModel:
     """Worst-case fit: minimax regression of each parameter on its features.
 
     The configured distribution acts as the sampling proposal; the
     importance weights drop out of the solved program because the inner
     maximum over the simplex concentrates on the worst row.
     """
-    training_set = generate_training_set(config, workers)
+    training_set = generate_training_set(config)
     return fit_from_training_set(
         training_set, config.ridge, METHOD_MINIMAX, config.fingerprint(), tolerance
     )
@@ -229,14 +270,44 @@ def estimate(model: TSModel, y) -> tuple[float, float]:
     """Apply the fitted rule to raw observations: compress, expand, read out.
 
     Returns (scale_estimate, shape_estimate); permutation-invariant in y.
+    The observations must be positive and finite.
     """
     y = np.asarray(y, dtype=float)
     if y.size <= model.n_quantiles:
         raise ValueError("need more observations than quantiles")
-    alpha = compress(y, model.n_quantiles)
-    eta_hat = float(model.beta_scale.beta @ feature_scale(alpha).values)
-    gamma_hat = float(model.beta_shape.beta @ feature_shape(alpha).values)
-    return eta_hat, gamma_hat
+    ys = order_statistics(y)
+    # NaN sorts last, so the extremes decide for the whole sample
+    if not (ys[0] > 0.0 and ys[-1] < math.inf):
+        raise ValueError("observations must be positive and finite")
+    # quantiles of positive, finite, sorted data pass validate_quantiles
+    alpha = sorted_quantiles(ys, model.n_quantiles)
+    eta_hat, gamma_hat = _read_out(model, alpha[None])[0]
+    return float(eta_hat), float(gamma_hat)
+
+
+def estimate_from_quantiles(model: TSModel, alphas) -> np.ndarray:
+    """Apply the fitted readouts to every row of a quantile matrix; returns
+    the (rows, 2) matrix of (scale, shape) estimates."""
+    alphas = _quantile_rows(alphas)
+    if alphas.shape[1] != model.n_quantiles:
+        raise ValueError(
+            f"model has {model.n_quantiles} quantiles, rows have {alphas.shape[1]}"
+        )
+    return _read_out(model, alphas)
+
+
+def _read_out(model: TSModel, alphas: np.ndarray) -> np.ndarray:
+    beta_scale, beta_shape = model.beta_scale.beta, model.beta_shape.beta
+    out = np.empty((alphas.shape[0], 2))
+    for start in range(0, alphas.shape[0], _BLOCK_ROWS):
+        block = alphas[start : start + _BLOCK_ROWS]
+        phi_scale, phi_shape = scale_features(block), shape_features(block)
+        # one dot product per row: a matrix product sums the ill-conditioned
+        # shape readout in another order, which moved table MSEs by up to
+        # 1.4e-12 relative
+        for r in range(block.shape[0]):
+            out[start + r] = phi_scale[r] @ beta_scale, phi_shape[r] @ beta_shape
+    return out
 
 
 def save_model(model: TSModel, path) -> Path:
@@ -263,7 +334,8 @@ def save_model(model: TSModel, path) -> Path:
 
 
 def load_model(path) -> TSModel:
-    """Read a model written by save_model."""
+    """Read a model written by save_model.  A malformed file, a missing
+    header key or a non-finite number raises ValueError naming the file."""
     text = Path(path).read_text()
     try:
         head, body = text.split("\n\n", 1)
@@ -278,23 +350,45 @@ def load_model(path) -> TSModel:
     if header.get("ts_model_version") != str(MODEL_FORMAT_VERSION):
         raise ValueError(f"{path}: unsupported model version")
 
-    values = [float(tok) for tok in body.split()]
-    n_scale = int(header["scale_coefficients"])
-    n_shape = int(header["shape_coefficients"])
+    def field(key: str, parse=str):
+        if key not in header:
+            raise ValueError(f"{path}: missing header key {key!r}")
+        try:
+            value = parse(header[key])
+        except ValueError:
+            raise ValueError(f"{path}: malformed {key} {header[key]!r}") from None
+        if parse is float and not math.isfinite(value):
+            raise ValueError(f"{path}: {key} is not finite")
+        return value
+
+    n_scale = field("scale_coefficients", int)
+    n_shape = field("shape_coefficients", int)
+    try:
+        values = np.array([float(tok) for tok in body.split()])
+    except ValueError as err:
+        raise ValueError(f"{path}: malformed coefficient ({err})") from None
     if len(values) != n_scale + n_shape:
         raise ValueError(f"{path}: expected {n_scale + n_shape} coefficients")
-    return TSModel(
-        beta_scale=solvers.Coefficients(
-            beta=np.array(values[:n_scale]),
-            objective=float(header["scale_objective"]),
-            certificate=float(header["scale_certificate"]),
-        ),
-        beta_shape=solvers.Coefficients(
-            beta=np.array(values[n_scale:]),
-            objective=float(header["shape_objective"]),
-            certificate=float(header["shape_certificate"]),
-        ),
-        n_quantiles=int(header["n_quantiles"]),
-        method=header["method"],
-        config_fingerprint=header["config_fingerprint"],
-    )
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: coefficients must be finite")
+    numbers = {
+        key: field(key, float)
+        for key in ("scale_objective", "scale_certificate", "shape_objective", "shape_certificate")
+    }
+    n_quantiles = field("n_quantiles", int)
+    method = field("method")
+    fingerprint = field("config_fingerprint")
+    try:
+        return TSModel(
+            beta_scale=solvers.Coefficients(
+                values[:n_scale], numbers["scale_objective"], numbers["scale_certificate"]
+            ),
+            beta_shape=solvers.Coefficients(
+                values[n_scale:], numbers["shape_objective"], numbers["shape_certificate"]
+            ),
+            n_quantiles=n_quantiles,
+            method=method,
+            config_fingerprint=fingerprint,
+        )
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from . import estimator as est
+from .compression import quantile_plan
 from .crlb import crlb
-from .parallel import indexed_map
 from .priors import PriorKind, PriorSpec, prior_inverse_cdf
 from .rng import SeedSpec, stream
 from .weibull import WeibullParams, weibull_quantile
@@ -84,18 +84,38 @@ class RiskReport:
     errors: tuple | None = field(default=None, compare=False)
 
 
+def evaluation_draws(config: ExperimentConfig) -> np.ndarray:
+    """Uniform order statistics of the evaluation datasets, shaped
+    (points, mc_runs, order statistics): run r at point p comes from its
+    own (p, r) sub-stream under the training seed, disjoint from the
+    training streams.  They depend on neither the model nor the parameter
+    distribution, so rules evaluated on one config can share them."""
+    n_points, runs = len(config.eval_points), config.mc_runs
+    paths = [(est.EVAL_STREAM, p, r) for p in range(n_points) for r in range(runs)]
+    draws = est.dataset_draws(config.training, paths)
+    return draws.reshape(n_points, runs, -1)
+
+
+def scatter_draws(config: ExperimentConfig) -> np.ndarray:
+    """Uniform order statistics of the scatter datasets, one row per
+    parameter draw; like evaluation_draws, shared by every rule."""
+    paths = [(est.SCATTER_STREAM, 2, i) for i in range(config.training.m_theta)]
+    return est.dataset_draws(config.training, paths)
+
+
 def run_mse_experiment(
     config: ExperimentConfig,
     model: est.TSModel,
     label: str | None = None,
-    workers: int | None = None,
     keep_errors: bool = False,
+    draws=None,
 ) -> RiskReport:
     """Estimate the rule's MSE at each eval point from fresh simulations.
 
     Every (point, run) pair has its own sub-stream under the training seed,
     disjoint from the training streams, so results are reproducible and a
-    longer run extends a shorter one run-for-run.
+    longer run extends a shorter one run-for-run.  ``draws`` are
+    evaluation_draws(config), drawn here when not given.
     """
     train = config.training
     if model.n_quantiles != train.n_quantiles:
@@ -103,20 +123,20 @@ def run_mse_experiment(
             f"model has {model.n_quantiles} quantiles, config expects "
             f"{train.n_quantiles}"
         )
+    plan = quantile_plan(train.n_obs, train.n_quantiles)
+    if draws is None:
+        draws = evaluation_draws(config)
+    elif np.shape(draws) != (len(config.eval_points), config.mc_runs, plan.ranks.size):
+        raise ValueError("evaluation draws do not match the config")
     rows = []
     all_errors = []
     for p_idx, (eta, gam) in enumerate(config.eval_points):
         params = WeibullParams(eta, gam)
-        errors = np.empty((config.mc_runs, 2))
-
-        def run_one(r: int, _params=params, _errors=errors, _p=p_idx) -> None:
-            u = stream(train.seed, est.EVAL_STREAM, _p, r).random(train.n_obs)
-            y = weibull_quantile(u, _params)
-            eta_hat, gamma_hat = est.estimate(model, y)
-            _errors[r, 0] = eta_hat - _params.scale
-            _errors[r, 1] = gamma_hat - _params.shape
-
-        indexed_map(run_one, config.mc_runs, workers)
+        # one scalar shape per point, as in weibull_quantile itself: numpy
+        # computes x ** 0.5 as sqrt(x), which can differ from a per-row power
+        # in the last bit
+        alphas = plan.quantiles(weibull_quantile(draws[p_idx], params))
+        errors = est.estimate_from_quantiles(model, alphas) - (params.scale, params.shape)
         mse = np.mean(errors * errors, axis=0)
         bound_eta, bound_gamma = crlb(params, train.n_obs)
         rows.append(
@@ -139,15 +159,15 @@ def run_mse_experiment(
     )
 
 
-def reproduce_table(
-    config: ExperimentConfig, workers: int | None = None
-) -> tuple[RiskReport, RiskReport, RiskReport]:
+def reproduce_table(config: ExperimentConfig) -> tuple[RiskReport, RiskReport, RiskReport]:
     """Run the full benchmark protocol: Bayes fit under the uniform and the
     reciprocal prior plus the minimax fit under the uniform proposal, each
     evaluated at every configured point.
 
-    Emits the combined table (and per-method models/scatter files) into
-    output_dir according to config.emit.
+    The three rules read the same simulated datasets (their streams do not
+    depend on the prior), so each is drawn once and shared.  Emits the
+    combined table (and per-method models/scatter files) into output_dir
+    according to config.emit.
     """
     base = config.training
     variants = (
@@ -159,20 +179,25 @@ def reproduce_table(
     if config.emit:
         out.mkdir(parents=True, exist_ok=True)
 
+    train_draws = est.training_draws(base)
+    eval_draws = evaluation_draws(config)
+    scatter = scatter_draws(config) if "scatter" in config.emit else None
+    training_sets = {}
     reports = []
     for label, method, kind in variants:
         dist = PriorSpec(kind, base.theta_distribution.lower, base.theta_distribution.upper)
         training = replace(base, theta_distribution=dist)
         sub_config = replace(config, training=training)
-        if method == est.METHOD_BAYES:
-            model = est.fit_bayes(training, workers)
-        else:
-            model = est.fit_minimax(training, workers=workers)
-        reports.append(run_mse_experiment(sub_config, model, label, workers))
+        if kind not in training_sets:
+            training_sets[kind] = est.generate_training_set(training, train_draws)
+        model = est.fit_from_training_set(
+            training_sets[kind], training.ridge, method, training.fingerprint()
+        )
+        reports.append(run_mse_experiment(sub_config, model, label, draws=eval_draws))
         if "model" in config.emit:
             est.save_model(model, out / f"model_{label}.txt")
-        if "scatter" in config.emit:
-            emit_scatter(model, sub_config, label=label, workers=workers)
+        if scatter is not None:
+            emit_scatter(model, sub_config, label=label, draws=scatter)
     if "table" in config.emit:
         write_risk_reports(reports, out / "table1.csv")
     return tuple(reports)
@@ -182,11 +207,12 @@ def emit_scatter(
     model: est.TSModel,
     config: ExperimentConfig,
     label: str | None = None,
-    workers: int | None = None,
+    draws=None,
 ) -> Path:
     """Simulate fresh parameter draws, estimate them, and write the scatter
     rows (true_eta, true_gamma, est_eta, est_gamma) behind the method's
-    true-vs-estimated plots.  Returns the written path."""
+    true-vs-estimated plots.  ``draws`` are scatter_draws(config), drawn
+    here when not given.  Returns the written path."""
     train = config.training
     if model.n_quantiles != train.n_quantiles:
         raise ValueError("model/config n_quantiles mismatch")
@@ -194,14 +220,12 @@ def emit_scatter(
 
     true_eta = prior_inverse_cdf(stream(seed, est.SCATTER_STREAM, 0).random(m), dist)
     true_gamma = prior_inverse_cdf(stream(seed, est.SCATTER_STREAM, 1).random(m), dist)
-    estimates = np.empty((m, 2))
-
-    def run_one(i: int) -> None:
-        params = WeibullParams(true_eta[i], true_gamma[i])
-        u = stream(seed, est.SCATTER_STREAM, 2, i).random(train.n_obs)
-        estimates[i] = est.estimate(model, weibull_quantile(u, params))
-
-    indexed_map(run_one, m, workers)
+    if draws is None:
+        draws = scatter_draws(config)
+    elif len(draws) != m:
+        raise ValueError(f"expected {m} rows of scatter draws, got {len(draws)}")
+    alphas = est.simulated_quantiles(train, draws, true_eta, true_gamma)
+    estimates = est.estimate_from_quantiles(model, alphas)
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     path = config.output_dir / f"scatter_{label if label else model.method}.csv"

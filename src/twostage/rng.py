@@ -13,7 +13,7 @@ class SeedSpec:
 
     The mapping (root_seed, stream_index) -> stream is a pure function:
     equal specs yield bit-identical draw sequences, independent of call
-    order or thread schedule.
+    order.
     """
 
     root_seed: int
@@ -29,9 +29,9 @@ class SeedSpec:
 def stream(seed: SeedSpec, *path: int) -> np.random.Generator:
     """Return the generator for ``seed``, optionally descended into a sub-path.
 
-    Sub-paths make parallel work schedule-independent: the task for index i
-    draws from ``stream(seed, tag, i)`` and sees the same variates no matter
-    how many workers run or in which order tasks complete.
+    Sub-paths make every draw a function of its index alone: dataset i
+    draws from ``stream(seed, tag, i)`` and sees the same variates whatever
+    else is drawn and in whichever order.
     """
     if any((not isinstance(p, int)) or p < 0 for p in path):
         raise ValueError("stream path entries must be non-negative integers")

@@ -59,11 +59,31 @@ def weibull_cdf(x, params: WeibullParams):
 
 def weibull_quantile(p, params: WeibullParams):
     """Inverse CDF: scale * (-log(1-p))^(1/shape), defined for p in [0, 1)."""
+    p_arr = _probabilities(p)
+    q = params.scale * (-np.log1p(-p_arr)) ** (1.0 / params.shape)
+    return q if p_arr.ndim else float(q)
+
+
+def weibull_quantile_rows(p, scales, shapes) -> np.ndarray:
+    """Row i of the 2-D array p through the quantile function of
+    (scales[i], shapes[i]); elementwise the same arithmetic as
+    weibull_quantile."""
+    p_arr = _probabilities(p)
+    scales = np.asarray(scales, dtype=float)
+    shapes = np.asarray(shapes, dtype=float)
+    if p_arr.ndim != 2 or not scales.shape == shapes.shape == (p_arr.shape[0],):
+        raise ValueError("p must be 2-D with one scale and one shape per row")
+    for name, values in (("scale", scales), ("shape", shapes)):
+        if not np.all(np.isfinite(values) & (values > 0)):
+            raise ValueError(f"{name} must be a positive real")
+    return scales[:, None] * (-np.log1p(-p_arr)) ** (1.0 / shapes)[:, None]
+
+
+def _probabilities(p) -> np.ndarray:
     p_arr = np.asarray(p, dtype=float)
     if np.any(p_arr < 0) or np.any(p_arr >= 1):
         raise ValueError("p must lie in [0, 1)")
-    q = params.scale * (-np.log1p(-p_arr)) ** (1.0 / params.shape)
-    return q if p_arr.ndim else float(q)
+    return p_arr
 
 
 def weibull_mean(params: WeibullParams) -> float:
@@ -77,3 +97,25 @@ def sample_weibull(n_samples: int, params: WeibullParams, seed: SeedSpec) -> np.
         raise ValueError("n_samples must be >= 1")
     u = stream(seed).random(n_samples)
     return weibull_quantile(u, params)
+
+
+def sample_uniform_order_statistics(seed: SeedSpec, paths, n_samples: int, ranks) -> np.ndarray:
+    """Row r: the order statistics at the zero-based ``ranks`` of n_samples
+    uniforms drawn from ``stream(seed, *paths[r])``.
+
+    The quantile function is monotone, so mapping row r through it gives the
+    order statistics at ``ranks`` of the Weibull sample that the same
+    uniforms make, without transforming the values that are never read.
+    """
+    ranks = np.asarray(ranks, dtype=np.intp)
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if ranks.ndim != 1 or np.any(ranks < 0) or np.any(ranks >= n_samples):
+        raise ValueError("ranks must be a 1-D vector of indices into the sample")
+    out = np.empty((len(paths), ranks.size))
+    buf = np.empty(n_samples)
+    for r, path in enumerate(paths):
+        stream(seed, *path).random(out=buf)
+        buf.sort()
+        out[r] = buf[ranks]
+    return out

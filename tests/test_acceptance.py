@@ -32,7 +32,7 @@ from twostage import (
 )
 from twostage import solvers
 from twostage.compression import FeatureKind, compress
-from twostage.estimator import build_feature_matrix, fit_from_training_set
+from twostage.estimator import build_feature_matrix, fit_from_training_set, training_draws
 from twostage.rng import stream
 
 from oracles import minimax_oracle, random_small_problem
@@ -79,7 +79,7 @@ def reciprocal_training():
 
 @pytest.fixture(scope="session")
 def uniform_training_set(uniform_training):
-    return generate_training_set(uniform_training, workers=0)
+    return generate_training_set(uniform_training)
 
 
 @pytest.fixture(scope="session")
@@ -95,18 +95,18 @@ def bayes_uniform(uniform_training, uniform_training_set):
 @pytest.fixture(scope="session")
 def uniform_report(uniform_training, bayes_uniform):
     config = ExperimentConfig(training=uniform_training, emit=frozenset())
-    return run_mse_experiment(config, bayes_uniform, workers=0, keep_errors=True)
+    return run_mse_experiment(config, bayes_uniform, keep_errors=True)
 
 
 @pytest.fixture(scope="session")
 def reciprocal_report(reciprocal_training):
-    model = fit_bayes(reciprocal_training, workers=0)
+    model = fit_bayes(reciprocal_training)
     config = ExperimentConfig(
         training=reciprocal_training,
         eval_points=((2.0, 2.0), (4.0, 2.0), (8.0, 2.0)),
         emit=frozenset(),
     )
-    return run_mse_experiment(config, model, workers=0)
+    return run_mse_experiment(config, model)
 
 
 def test_criterion_1_crlb_reproduction():
@@ -239,9 +239,11 @@ def test_criterion_7_pipeline_invariants(bayes_uniform):
     rng.shuffle(shuffled)
     perm_ok = estimate(bayes_uniform, shuffled) == estimate(bayes_uniform, y)
 
-    # bit-identical refits across worker counts
+    # bit-identical refits, whether the training draws are made by the fit
+    # or shared from a separate call
     cfg = TrainingConfig(m_theta=30, n_obs=400, n_quantiles=5, seed=SeedSpec(555))
-    models = [fit_bayes(cfg, workers=w) for w in (1, 2, 4)]
+    shared = generate_training_set(cfg, training_draws(cfg))
+    models = [fit_bayes(cfg), fit_bayes(cfg), fit_from_training_set(shared, cfg.ridge, "bayes")]
     refit_ok = (
         len({m.beta_scale.beta.tobytes() for m in models}) == 1
         and len({m.beta_shape.beta.tobytes() for m in models}) == 1
@@ -258,7 +260,7 @@ def test_criterion_7_pipeline_invariants(bayes_uniform):
     )
     report(
         7,
-        "permutation invariance, thread-count determinism, quantile consistency",
+        "permutation invariance, refit determinism, quantile consistency",
         perm_ok and refit_ok and quant_ok,
         f"(perm {perm_ok}, refit {refit_ok}, quantiles {quant_ok})",
     )
@@ -315,7 +317,7 @@ def test_scale_estimates_track_truth_in_scatter(bayes_uniform, uniform_training,
     config = ExperimentConfig(
         training=uniform_training, output_dir=tmp_path, emit=frozenset({"scatter"})
     )
-    path = emit_scatter(bayes_uniform, config, workers=0)
+    path = emit_scatter(bayes_uniform, config)
     from twostage.experiment import read_scatter
 
     data = read_scatter(path)

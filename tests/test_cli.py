@@ -2,13 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from twostage.cli import main
 from twostage import estimator as est
 from twostage import experiment as exp
-from twostage.parallel import THREADS_ENV, worker_count
 
 
 @pytest.fixture
@@ -154,14 +154,51 @@ class TestScatter:
         assert data.shape == (10, 4)
 
 
-class TestWorkerEnv:
-    def test_env_variable_caps_workers(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "3")
-        assert worker_count() == 3
-        monkeypatch.setenv(THREADS_ENV, "0")
-        assert worker_count() >= 1
-        monkeypatch.delenv(THREADS_ENV)
-        assert worker_count(2) == 2
-        monkeypatch.setenv(THREADS_ENV, "junk")
-        with pytest.raises(ValueError):
-            worker_count()
+class TestEstimate:
+    @pytest.fixture
+    def model_and_data(self, runner, tmp_path):
+        cfg = tiny_config_file(tmp_path)
+        model_path = tmp_path / "model.txt"
+        assert runner.invoke(
+            main, ["fit", "--config", str(cfg), "--out", str(model_path)]
+        ).exit_code == 0
+        y = 3.0 * np.random.default_rng(8).weibull(2.0, 200)
+        return model_path, y
+
+    def test_prints_estimate(self, runner, tmp_path, model_and_data):
+        model_path, y = model_and_data
+        data = tmp_path / "y.txt"
+        data.write_text("\n".join(f"{v:.17g}" for v in y) + "\n")
+        result = runner.invoke(
+            main, ["estimate", "--model", str(model_path), "--data", str(data)]
+        )
+        assert result.exit_code == 0, result.output
+        header, line = result.output.strip().splitlines()
+        assert header == "est_eta,est_gamma"
+        got = tuple(float(tok) for tok in line.split(","))
+        assert got == est.estimate(est.load_model(model_path), y)
+
+    def test_non_positive_data_exits_2(self, runner, tmp_path, model_and_data):
+        model_path, y = model_and_data
+        y[:50] *= -1
+        data = tmp_path / "y.txt"
+        data.write_text(" ".join(f"{v:.17g}" for v in y))
+        result = runner.invoke(
+            main, ["estimate", "--model", str(model_path), "--data", str(data)]
+        )
+        assert result.exit_code == 2
+        assert "positive and finite" in result.output
+
+    def test_model_missing_header_key_exits_2(self, runner, tmp_path, model_and_data):
+        model_path, y = model_and_data
+        lines = model_path.read_text().splitlines()
+        model_path.write_text(
+            "\n".join(l for l in lines if not l.startswith("shape_objective:")) + "\n"
+        )
+        data = tmp_path / "y.txt"
+        data.write_text(" ".join(f"{v:.17g}" for v in y))
+        result = runner.invoke(
+            main, ["estimate", "--model", str(model_path), "--data", str(data)]
+        )
+        assert result.exit_code == 2
+        assert "model.txt" in result.output and "shape_objective" in result.output

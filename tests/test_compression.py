@@ -99,6 +99,16 @@ class TestCompress:
             compress(shuffled, n).values, compress(values, n).values
         )
 
+    @given(data_vectors, st.integers(min_value=1, max_value=12))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_sample_quantile_reference(self, values, n):
+        # the vectorized interpolation repeats sample_quantile's arithmetic
+        if len(values) <= n:
+            values = values + [3.0] * (n + 1 - len(values))
+        ys = order_statistics(values)
+        expected = [sample_quantile(ys, k / n) for k in range(1, n + 1)]
+        np.testing.assert_array_equal(compress(values, n).values, expected)
+
     @given(data_vectors, st.integers(min_value=1, max_value=5))
     @settings(max_examples=80, deadline=None)
     def test_output_non_decreasing(self, values, n):

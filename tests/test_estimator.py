@@ -27,6 +27,7 @@ from twostage.estimator import (
     THETA_STREAM,
     TRAIN_DATA_STREAM,
     build_feature_matrix,
+    dataset_draws,
     fit_from_training_set,
 )
 from twostage.rng import stream
@@ -83,12 +84,33 @@ class TestGenerateTrainingSet:
         )
         np.testing.assert_array_equal(ts.thetas[:, 0], expected)
 
-    @pytest.mark.parametrize("workers", [1, 2, 5])
-    def test_schedule_independent(self, workers):
-        base = generate_training_set(SMALL, workers=1)
-        other = generate_training_set(SMALL, workers=workers)
+    @pytest.mark.parametrize("batches", [1, 2, 5])
+    def test_schedule_independent(self, batches):
+        # every dataset has its own sub-stream, so drawing the training
+        # datasets in several batches must give the same training set
+        base = generate_training_set(SMALL)
+        paths = [
+            (TRAIN_DATA_STREAM, i, j) for i in range(SMALL.m_theta) for j in range(SMALL.m_y)
+        ]
+        bounds = np.linspace(0, len(paths), batches + 1).astype(int)
+        draws = np.concatenate(
+            [dataset_draws(SMALL, paths[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        )
+        other = generate_training_set(SMALL, draws=draws)
         np.testing.assert_array_equal(base.thetas, other.thetas)
         np.testing.assert_array_equal(base.alphas, other.alphas)
+
+    def test_rows_equal_per_dataset_compression(self):
+        # the batched path sorts uniforms and transforms only the order
+        # statistics read; each row must equal compressing the whole dataset
+        cfg = TrainingConfig(m_theta=6, m_y=2, n_obs=300, n_quantiles=5, seed=SeedSpec(17))
+        ts = generate_training_set(cfg)
+        for i in range(cfg.m_theta):
+            params = WeibullParams(ts.thetas[i, 0], ts.thetas[i, 1])
+            for j in range(cfg.m_y):
+                u = stream(cfg.seed, TRAIN_DATA_STREAM, i, j).random(cfg.n_obs)
+                expected = compress(weibull_quantile(u, params), cfg.n_quantiles)
+                np.testing.assert_array_equal(ts.alphas[i * cfg.m_y + j], expected.values)
 
     def test_replicates_share_parent(self):
         cfg = TrainingConfig(m_theta=3, m_y=2, n_obs=60, n_quantiles=3, seed=SeedSpec(15))
@@ -185,14 +207,6 @@ class TestFits:
             assert objective(beta + d) >= base - slack - 1e-12
             assert objective(beta - d) >= base - slack - 1e-12
 
-    def test_end_to_end_determinism_across_workers(self):
-        y = weibull_quantile(stream(SeedSpec(500), 0).random(400), WeibullParams(3.0, 2.0))
-        models = [fit_bayes(SMALL, workers=w) for w in (1, 3)]
-        estimates = {estimate(m, y) for m in models}
-        assert len(estimates) == 1
-        betas = {m.beta_scale.beta.tobytes() for m in models}
-        assert len(betas) == 1
-
 
 class TestEstimate:
     def test_permutation_invariant(self):
@@ -224,6 +238,24 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate(model, np.ones(SMALL.n_quantiles))
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda y: np.concatenate([-y[:50], y[50:]]),
+            lambda y: np.append(y, 0.0),
+            lambda y: np.append(y, np.nan),
+            lambda y: np.append(y, np.inf),
+            lambda y: np.append(y, -np.inf),
+        ],
+        ids=["negated", "zero", "nan", "inf", "minus-inf"],
+    )
+    def test_rejects_non_positive_or_non_finite_observations(self, corrupt):
+        model = fit_bayes(SMALL)
+        y = weibull_quantile(stream(SeedSpec(502), 0).random(300), WeibullParams(3.0, 2.0))
+        estimate(model, y)
+        with pytest.raises(ValueError, match="positive and finite"):
+            estimate(model, corrupt(y))
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -245,6 +277,45 @@ class TestSerialization:
         bad.write_text("not a model\n")
         with pytest.raises(ValueError):
             load_model(bad)
+
+    @staticmethod
+    def _edited_model_file(tmp_path, edit):
+        path = save_model(fit_bayes(SMALL), tmp_path / "model.txt")
+        path.write_text(edit(path.read_text()))
+        return path
+
+    def test_rejects_non_finite_coefficient(self, tmp_path):
+        def edit(text):
+            head, body = text.split("\n\n")
+            lines = body.splitlines()
+            lines[3] = "nan"
+            return head + "\n\n" + "\n".join(lines) + "\n"
+
+        path = self._edited_model_file(tmp_path, edit)
+        with pytest.raises(ValueError, match="model.txt"):
+            load_model(path)
+
+    def test_rejects_non_finite_header_number(self, tmp_path):
+        def edit(text):
+            lines = text.splitlines()
+            lines = [
+                "shape_objective: inf" if line.startswith("shape_objective:") else line
+                for line in lines
+            ]
+            return "\n".join(lines) + "\n"
+
+        path = self._edited_model_file(tmp_path, edit)
+        with pytest.raises(ValueError, match="model.txt.*shape_objective"):
+            load_model(path)
+
+    def test_rejects_missing_header_key(self, tmp_path):
+        def edit(text):
+            lines = [line for line in text.splitlines() if not line.startswith("shape_objective:")]
+            return "\n".join(lines) + "\n"
+
+        path = self._edited_model_file(tmp_path, edit)
+        with pytest.raises(ValueError, match="model.txt.*shape_objective"):
+            load_model(path)
 
     def test_rejects_wrong_coefficient_count(self, tmp_path):
         model = fit_bayes(SMALL)

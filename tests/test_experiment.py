@@ -1,5 +1,7 @@
 """Monte-Carlo risk harness, table/scatter emission, and parse-back."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from twostage import (
 )
 from twostage import estimator as est
 from twostage import experiment as exp
+from twostage.rng import stream
+from twostage.weibull import weibull_quantile
 
 TINY_TRAIN = TrainingConfig(
     m_theta=12,
@@ -82,7 +86,11 @@ class TestRunMseExperiment:
     def test_perfect_oracle_stub_has_zero_mse(self, monkeypatch):
         config = tiny_config(eval_points=((5.0, 7.0),), mc_runs=2)
         model = fit_bayes(TINY_TRAIN)
-        monkeypatch.setattr(exp.est, "estimate", lambda model, y: (5.0, 7.0))
+        monkeypatch.setattr(
+            exp.est,
+            "estimate_from_quantiles",
+            lambda model, alphas: np.tile([5.0, 7.0], (len(alphas), 1)),
+        )
         report = run_mse_experiment(config, model)
         assert report.rows[0].mse_eta == 0.0
         assert report.rows[0].mse_gamma == 0.0
@@ -113,12 +121,28 @@ class TestRunMseExperiment:
         with pytest.raises(ValueError):
             run_mse_experiment(other, model)
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_worker_count_does_not_change_results(self, workers):
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    def test_worker_count_does_not_change_results(self, block_rows, monkeypatch):
+        # the readout splits the runs into blocks; how many rows a block
+        # holds must not change the results
         model = fit_bayes(TINY_TRAIN)
-        base = run_mse_experiment(tiny_config(), model, workers=1)
-        other = run_mse_experiment(tiny_config(), model, workers=workers)
+        base = run_mse_experiment(tiny_config(), model)
+        monkeypatch.setattr(est, "_BLOCK_ROWS", block_rows)
+        other = run_mse_experiment(tiny_config(), model)
         assert base.rows == other.rows
+
+    def test_blocked_run_matches_per_row_estimate(self):
+        # more runs than one readout block holds, and not a multiple of it
+        runs = est._BLOCK_ROWS + 3
+        model = fit_bayes(TINY_TRAIN)
+        config = tiny_config(mc_runs=runs, eval_points=((4.0, 8.0),))
+        report = run_mse_experiment(config, model, keep_errors=True)
+        params = WeibullParams(4.0, 8.0)
+        expected = np.empty((runs, 2))
+        for r in range(runs):
+            u = stream(TINY_TRAIN.seed, est.EVAL_STREAM, 0, r).random(TINY_TRAIN.n_obs)
+            expected[r] = np.subtract(est.estimate(model, weibull_quantile(u, params)), (4.0, 8.0))
+        np.testing.assert_allclose(report.errors[0], expected, rtol=1e-12, atol=0)
 
     def test_split_halves_agree_within_standard_errors(self):
         model = fit_bayes(TINY_TRAIN)
@@ -229,12 +253,49 @@ class TestReproduceTable:
         model = est.load_model(out / "model_minimax.txt")
         assert model.method == "minimax"
 
-    def test_rerun_is_byte_identical_across_worker_counts(self, outputs, tmp_path):
+    def test_rerun_is_byte_identical(self, outputs, tmp_path):
         out, config, _ = outputs
-        from dataclasses import replace
+        reproduce_table(replace(config, output_dir=tmp_path))
+        for path in out.iterdir():
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes()
 
-        for workers in (1, 3):
-            rerun_dir = tmp_path / f"w{workers}"
-            reproduce_table(replace(config, output_dir=rerun_dir), workers=workers)
-            for name in ("table1.csv", "scatter_minimax.csv", "model_bayes-uniform.txt"):
-                assert (rerun_dir / name).read_bytes() == (out / name).read_bytes()
+    def test_rows_equal_standalone_mse_experiment(self, outputs):
+        # the table shares one set of simulated datasets between the rules;
+        # each rule evaluated on its own must give the same rows exactly
+        out, config, reports = outputs
+        kinds = {"bayes-uniform": "uniform", "bayes-reciprocal": "reciprocal", "minimax": "uniform"}
+        for report in reports:
+            training = replace(
+                config.training,
+                theta_distribution=PriorSpec(kinds[report.method], 1.0, 20.0),
+            )
+            model = est.load_model(out / f"model_{report.method}.txt")
+            alone = run_mse_experiment(replace(config, training=training), model, report.method)
+            assert alone.rows == report.rows
+
+    def test_models_equal_standalone_fits(self, outputs, tmp_path):
+        # the rules also share training draws; each saved model must equal
+        # the model its own config fits from scratch
+        out, config, _ = outputs
+        variants = (
+            ("bayes-uniform", est.fit_bayes, "uniform"),
+            ("bayes-reciprocal", est.fit_bayes, "reciprocal"),
+            ("minimax", est.fit_minimax, "uniform"),
+        )
+        for label, fit, kind in variants:
+            training = replace(
+                config.training, theta_distribution=PriorSpec(kind, 1.0, 20.0)
+            )
+            alone = est.save_model(fit(training), tmp_path / f"{label}.txt")
+            assert alone.read_bytes() == (out / f"model_{label}.txt").read_bytes(), label
+
+    def test_scatter_equals_standalone_emit_scatter(self, outputs, tmp_path):
+        out, config, _ = outputs
+        model = est.load_model(out / "model_bayes-reciprocal.txt")
+        training = replace(
+            config.training, theta_distribution=PriorSpec("reciprocal", 1.0, 20.0)
+        )
+        path = emit_scatter(
+            model, replace(config, training=training, output_dir=tmp_path), "bayes-reciprocal"
+        )
+        assert path.read_bytes() == (out / "scatter_bayes-reciprocal.csv").read_bytes()
