@@ -88,7 +88,7 @@ def _run(action):
     except solvers.SolverError as err:
         click.echo(f"solver failure: {err}", err=True)
         sys.exit(3)
-    except (ValueError, KeyError, TypeError) as err:
+    except ValueError as err:
         click.echo(f"invalid input: {err}", err=True)
         sys.exit(2)
     except OSError as err:

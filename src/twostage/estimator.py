@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import solvers
+from ._files import write_text_atomic
 from .compression import (
     CompressedVector,
     FeatureKind,
@@ -121,14 +122,17 @@ class TrainingSet:
         return CompressedVector(self.alphas[row])
 
 
-def dataset_draws(config: TrainingConfig, paths) -> np.ndarray:
-    """Row r: the uniform order statistics that the quantiles of a dataset
-    of config.n_obs observations read, drawn from the sub-stream
-    ``stream(config.seed, *paths[r])``.  Mapped through the Weibull quantile
-    function of any parameters, they give that dataset's quantiles (see
-    simulated_quantiles)."""
+def dataset_draws(config: TrainingConfig, path, rows: int) -> np.ndarray:
+    """``rows`` rows, each the uniform order statistics that the quantiles
+    of one dataset of config.n_obs observations read, drawn in order from
+    the sub-stream ``stream(config.seed, *path)``; more rows extend fewer
+    row for row.  Mapped through the Weibull quantile function of any
+    parameters, a row gives that dataset's quantiles (see
+    simulated_quantiles).  The cost does not grow with config.n_obs."""
     plan = quantile_plan(config.n_obs, config.n_quantiles)
-    return sample_uniform_order_statistics(config.seed, paths, config.n_obs, plan.ranks)
+    return sample_uniform_order_statistics(
+        stream(config.seed, *path), config.n_obs, plan.ranks, rows
+    )
 
 
 def simulated_quantiles(config: TrainingConfig, draws, scales, shapes) -> np.ndarray:
@@ -147,22 +151,21 @@ def simulated_quantiles(config: TrainingConfig, draws, scales, shapes) -> np.nda
 
 def training_draws(config: TrainingConfig) -> np.ndarray:
     """Uniform order statistics of the training datasets: row i*m_y + j is
-    dataset j of parameter draw i, from its own (i, j) sub-stream.  They do
-    not depend on the parameter distribution, so fits that differ only in
-    it can share them."""
-    paths = [
-        (TRAIN_DATA_STREAM, i, j) for i in range(config.m_theta) for j in range(config.m_y)
-    ]
-    return dataset_draws(config, paths)
+    dataset j of parameter draw i, row j of draw i's sub-stream
+    (TRAIN_DATA_STREAM, i).  They do not depend on the parameter
+    distribution, so fits that differ only in it can share them."""
+    return np.concatenate(
+        [dataset_draws(config, (TRAIN_DATA_STREAM, i), config.m_y) for i in range(config.m_theta)]
+    )
 
 
 def generate_training_set(config: TrainingConfig, draws=None) -> TrainingSet:
     """Draw parameters from the configured distribution and compress one
     simulated dataset per (draw, replicate).
 
-    Deterministic given config.seed: every dataset has its own
-    (i, j)-indexed sub-stream.  ``draws`` are training_draws(config), drawn
-    here when not given.
+    Deterministic given config.seed: the datasets of parameter draw i come
+    from its own sub-stream, so a larger m_theta or m_y extends a smaller
+    one.  ``draws`` are training_draws(config), drawn here when not given.
     """
     dist, seed = config.theta_distribution, config.seed
     m, my = config.m_theta, config.m_y
@@ -312,8 +315,8 @@ def _read_out(model: TSModel, alphas: np.ndarray) -> np.ndarray:
 
 def save_model(model: TSModel, path) -> Path:
     """Write the flat text model format: key-value header, blank line, then
-    one coefficient per line at 17 significant digits (bit-exact)."""
-    path = Path(path)
+    one coefficient per line at 17 significant digits (bit-exact).  The
+    file is replaced atomically."""
     lines = [
         f"ts_model_version: {MODEL_FORMAT_VERSION}",
         f"method: {model.method}",
@@ -329,8 +332,7 @@ def save_model(model: TSModel, path) -> Path:
     ]
     lines.extend(f"{v:.17g}" for v in model.beta_scale.beta)
     lines.extend(f"{v:.17g}" for v in model.beta_shape.beta)
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_model(path) -> TSModel:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimator as est
+from ._files import write_text_atomic
 from .compression import quantile_plan
 from .crlb import crlb
 from .priors import PriorKind, PriorSpec, prior_inverse_cdf
@@ -86,21 +87,24 @@ class RiskReport:
 
 def evaluation_draws(config: ExperimentConfig) -> np.ndarray:
     """Uniform order statistics of the evaluation datasets, shaped
-    (points, mc_runs, order statistics): run r at point p comes from its
-    own (p, r) sub-stream under the training seed, disjoint from the
-    training streams.  They depend on neither the model nor the parameter
-    distribution, so rules evaluated on one config can share them."""
-    n_points, runs = len(config.eval_points), config.mc_runs
-    paths = [(est.EVAL_STREAM, p, r) for p in range(n_points) for r in range(runs)]
-    draws = est.dataset_draws(config.training, paths)
-    return draws.reshape(n_points, runs, -1)
+    (points, mc_runs, order statistics): the runs at point p are the rows
+    of its own sub-stream (EVAL_STREAM, p) under the training seed, disjoint
+    from the training streams.  They depend on neither the model nor the
+    parameter distribution, so rules evaluated on one config can share
+    them."""
+    return np.stack(
+        [
+            est.dataset_draws(config.training, (est.EVAL_STREAM, p), config.mc_runs)
+            for p in range(len(config.eval_points))
+        ]
+    )
 
 
 def scatter_draws(config: ExperimentConfig) -> np.ndarray:
     """Uniform order statistics of the scatter datasets, one row per
-    parameter draw; like evaluation_draws, shared by every rule."""
-    paths = [(est.SCATTER_STREAM, 2, i) for i in range(config.training.m_theta)]
-    return est.dataset_draws(config.training, paths)
+    parameter draw, from the sub-stream (SCATTER_STREAM, 2); like
+    evaluation_draws, shared by every rule."""
+    return est.dataset_draws(config.training, (est.SCATTER_STREAM, 2), config.training.m_theta)
 
 
 def run_mse_experiment(
@@ -112,10 +116,10 @@ def run_mse_experiment(
 ) -> RiskReport:
     """Estimate the rule's MSE at each eval point from fresh simulations.
 
-    Every (point, run) pair has its own sub-stream under the training seed,
-    disjoint from the training streams, so results are reproducible and a
-    longer run extends a shorter one run-for-run.  ``draws`` are
-    evaluation_draws(config), drawn here when not given.
+    Every point has its own sub-stream under the training seed, disjoint
+    from the training streams, whose rows are the runs, so results are
+    reproducible and a longer run extends a shorter one run-for-run.
+    ``draws`` are evaluation_draws(config), drawn here when not given.
     """
     train = config.training
     if model.n_quantiles != train.n_quantiles:
@@ -212,7 +216,8 @@ def emit_scatter(
     """Simulate fresh parameter draws, estimate them, and write the scatter
     rows (true_eta, true_gamma, est_eta, est_gamma) behind the method's
     true-vs-estimated plots.  ``draws`` are scatter_draws(config), drawn
-    here when not given.  Returns the written path."""
+    here when not given.  The file is replaced atomically; returns its
+    path."""
     train = config.training
     if model.n_quantiles != train.n_quantiles:
         raise ValueError("model/config n_quantiles mismatch")
@@ -235,8 +240,7 @@ def emit_scatter(
             f"{true_eta[i]:.17g},{true_gamma[i]:.17g},"
             f"{estimates[i, 0]:.17g},{estimates[i, 1]:.17g}"
         )
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_scatter(path) -> np.ndarray:
@@ -248,8 +252,8 @@ def read_scatter(path) -> np.ndarray:
 
 
 def write_risk_reports(reports, path) -> Path:
-    """Write one or more reports as a combined CSV at 6 significant digits."""
-    path = Path(path)
+    """Write one or more reports as a combined CSV at 6 significant digits;
+    the file is replaced atomically."""
     lines = [_TABLE_HEADER]
     for report in reports:
         for row in report.rows:
@@ -267,8 +271,7 @@ def write_risk_reports(reports, path) -> Path:
                 )
             )
             lines.append(f"{report.method},{fields}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_risk_reports(path) -> tuple[RiskReport, ...]:
@@ -299,45 +302,81 @@ def read_risk_reports(path) -> tuple[RiskReport, ...]:
     return tuple(RiskReport(method=m, rows=tuple(rows)) for m, rows in reports)
 
 
+# JSON types of the config fields: the Python types json.loads gives them,
+# and their name in error messages
+_INTEGER = ((int,), "an integer")
+_NUMBER = ((int, float), "a number")
+_STRING = ((str,), "a string")
+_ARRAY = ((list,), "an array")
+_OBJECT = ((dict,), "an object")
+
+
+def _check_type(value, json_type, what: str) -> None:
+    types, name = json_type
+    # bool is an int subclass in Python but its own type in JSON
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{what} must be {name}, got {value!r}")
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON-style dict mirroring the
-    dataclass field names; unknown keys are rejected."""
+    dataclass field names.  Unknown keys and values of the wrong JSON type
+    raise ValueError."""
 
-    def take(d: dict, allowed: set[str], what: str) -> dict:
-        unknown = set(d) - allowed
+    def take(d, fields: dict, what: str) -> dict:
+        _check_type(d, _OBJECT, what)
+        unknown = set(d) - set(fields)
         if unknown:
             raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-        return d
+        for key, value in d.items():
+            _check_type(value, fields[key], f"{what} key {key!r}")
+        return dict(d)
 
-    data = dict(
-        take(data, {"training", "eval_points", "mc_runs", "output_dir", "emit"}, "config")
+    data = take(
+        data,
+        {
+            "training": _OBJECT,
+            "eval_points": _ARRAY,
+            "mc_runs": _INTEGER,
+            "output_dir": _STRING,
+            "emit": _ARRAY,
+        },
+        "config",
     )
     kwargs: dict = {}
     if "training" in data:
-        tdata = dict(
-            take(
-                data["training"],
-                {
-                    "m_theta",
-                    "m_y",
-                    "n_obs",
-                    "n_quantiles",
-                    "ridge",
-                    "theta_distribution",
-                    "seed",
-                },
-                "training",
-            )
+        tdata = take(
+            data["training"],
+            {
+                "m_theta": _INTEGER,
+                "m_y": _INTEGER,
+                "n_obs": _INTEGER,
+                "n_quantiles": _INTEGER,
+                "ridge": _NUMBER,
+                "theta_distribution": _OBJECT,
+                "seed": _OBJECT,
+            },
+            "training",
         )
         if "theta_distribution" in tdata:
             ddata = take(
-                tdata["theta_distribution"], {"kind", "lower", "upper"}, "distribution"
+                tdata["theta_distribution"],
+                {"kind": _STRING, "lower": _NUMBER, "upper": _NUMBER},
+                "distribution",
             )
             tdata["theta_distribution"] = PriorSpec(**ddata)
         if "seed" in tdata:
-            sdata = take(tdata["seed"], {"root_seed", "stream_index"}, "seed")
+            sdata = take(tdata["seed"], {"root_seed": _INTEGER, "stream_index": _INTEGER}, "seed")
             tdata["seed"] = SeedSpec(**sdata)
         kwargs["training"] = est.TrainingConfig(**tdata)
+    for point in data.get("eval_points", []):
+        _check_type(point, _ARRAY, "an eval point")
+        if len(point) != 2:
+            raise ValueError(f"an eval point must be [scale, shape], got {point!r}")
+        for value in point:
+            _check_type(value, _NUMBER, "an eval point coordinate")
+    for kind in data.get("emit", []):
+        _check_type(kind, _STRING, "an emit kind")
     for key in ("eval_points", "mc_runs", "output_dir", "emit"):
         if key in data:
             kwargs[key] = data[key]

@@ -1,8 +1,9 @@
 """Two-parameter Weibull model: density, quantile function, seeded sampling.
 
 All sampling goes through the inverse CDF applied to uniform variates in
-[0, 1), so every draw is a deterministic function of its seed and p = 1
-(an infinite quantile) can never be hit.
+[0, 1), or to their order statistics drawn directly, so every draw is a
+deterministic function of its seed and p = 1 (an infinite quantile) can
+never be hit.
 """
 
 from __future__ import annotations
@@ -99,23 +100,42 @@ def sample_weibull(n_samples: int, params: WeibullParams, seed: SeedSpec) -> np.
     return weibull_quantile(u, params)
 
 
-def sample_uniform_order_statistics(seed: SeedSpec, paths, n_samples: int, ranks) -> np.ndarray:
-    """Row r: the order statistics at the zero-based ``ranks`` of n_samples
-    uniforms drawn from ``stream(seed, *paths[r])``.
+# the largest double below 1, the top of a uniform draw's range
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
-    The quantile function is monotone, so mapping row r through it gives the
-    order statistics at ``ranks`` of the Weibull sample that the same
-    uniforms make, without transforming the values that are never read.
+
+def sample_uniform_order_statistics(
+    gen: np.random.Generator, n_samples: int, ranks, rows: int
+) -> np.ndarray:
+    """``rows`` independent draws, one per row, of the order statistics at
+    the zero-based ``ranks`` (ascending, distinct) of n_samples i.i.d.
+    uniforms on [0, 1).
+
+    The draw is exact in law and its cost does not grow with n_samples: with
+    E_1, ..., E_{n_samples+1} i.i.d. standard exponentials and S_k their
+    partial sums, the k-th smallest uniform is distributed jointly with the
+    others as S_k / S_{n_samples+1} (Renyi's representation; David and
+    Nagaraja, Order Statistics, 2003).  So each row takes one gamma
+    increment per gap between the ranks, Gamma(ranks[0] + 1),
+    Gamma(ranks[i] - ranks[i-1]), ..., Gamma(n_samples - ranks[-1]), and
+    divides their running sum by the total.  Rows are filled in order from
+    ``gen``, so more rows from the same generator extend fewer row for row.
+
+    The quantile function is monotone, so mapping a row through it gives the
+    order statistics at ``ranks`` of a Weibull sample.
     """
-    ranks = np.asarray(ranks, dtype=np.intp)
+    ranks = np.asarray(ranks)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if ranks.ndim != 1 or np.any(ranks < 0) or np.any(ranks >= n_samples):
-        raise ValueError("ranks must be a 1-D vector of indices into the sample")
-    out = np.empty((len(paths), ranks.size))
-    buf = np.empty(n_samples)
-    for r, path in enumerate(paths):
-        stream(seed, *path).random(out=buf)
-        buf.sort()
-        out[r] = buf[ranks]
-    return out
+    if ranks.ndim != 1 or ranks.size < 1:
+        raise ValueError("ranks must be a non-empty 1-D vector")
+    edges = np.concatenate(([-1], ranks, [n_samples]))
+    increments = edges[1:] - edges[:-1]
+    if not np.all(increments > 0):
+        raise ValueError("ranks must ascend strictly within [0, n_samples)")
+    sums = np.cumsum(gen.standard_gamma(increments, size=(rows, increments.size)), axis=1)
+    # a ratio rounds to 1.0 when the increments above it sum to less than
+    # half an ulp of the total, which a sample maximum does with probability
+    # about 1e-16 * n_samples; keep it in [0, 1), where a uniform draw lies
+    return np.minimum(sums[:, :-1] / sums[:, -1:], _BELOW_ONE)
+

@@ -1,4 +1,5 @@
-"""Independent brute-force oracles shared by the solver and acceptance tests."""
+"""Independent brute-force oracles shared by the sampler, solver and
+acceptance tests."""
 
 import numpy as np
 import scipy.optimize
@@ -54,3 +55,18 @@ def random_small_problem(rng: np.random.Generator) -> RegressionProblem:
     if ridge == 0.0 and n_rows < n_feat:
         ridge = 1e-8
     return RegressionProblem(phi, targets, ridge)
+
+
+def sorted_uniform_order_statistics(
+    gen: np.random.Generator, n_samples: int, ranks, rows: int
+) -> np.ndarray:
+    """Row r: the order statistics at the zero-based ``ranks`` of n_samples
+    uniforms drawn from ``gen`` and sorted; the draw-and-sort reference for
+    weibull.sample_uniform_order_statistics, equal to it in law only."""
+    out = np.empty((rows, len(ranks)))
+    buf = np.empty(n_samples)
+    for r in range(rows):
+        gen.random(out=buf)
+        buf.sort()
+        out[r] = buf[ranks]
+    return out

@@ -67,6 +67,25 @@ class TestFit:
         )
         assert result.exit_code == 2  # n_quantiles >= n_obs
 
+    def test_wrongly_typed_config_exits_2(self, runner, tmp_path):
+        cfg = tiny_config_file(tmp_path)
+        data = json.loads(cfg.read_text())
+        data["training"]["m_theta"] = "x"
+        cfg.write_text(json.dumps(data))
+        result = runner.invoke(main, ["fit", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "m_theta" in result.output
+
+    def test_internal_type_error_is_not_invalid_input(self, runner, tmp_path, monkeypatch):
+        # a programming error must surface as one, not as bad input
+        def broken(config):
+            raise TypeError("unsupported operand type(s)")
+
+        monkeypatch.setattr(est, "fit_bayes", broken)
+        result = runner.invoke(main, ["fit", "--config", str(tiny_config_file(tmp_path))])
+        assert result.exit_code != 2
+        assert isinstance(result.exception, TypeError)
+
     def test_solver_failure_exits_3(self, runner, tmp_path):
         # ridge 0 with more features than rows is rank-deficient
         cfg = tiny_config_file(tmp_path)

@@ -1,6 +1,8 @@
 """End-to-end pipeline: training-set generation, Bayes/minimax fits,
 prediction, and model serialization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,15 +24,22 @@ from twostage import (
     weibull_quantile,
 )
 from twostage import solvers
-from twostage.compression import compress, scale_feature_len, shape_feature_len
+from twostage.compression import (
+    compress,
+    quantile_plan,
+    scale_feature_len,
+    shape_feature_len,
+)
 from twostage.estimator import (
     THETA_STREAM,
     TRAIN_DATA_STREAM,
     build_feature_matrix,
-    dataset_draws,
     fit_from_training_set,
+    training_draws,
 )
+from twostage.experiment import ExperimentConfig, evaluation_draws, scatter_draws
 from twostage.rng import stream
+from twostage.weibull import sample_uniform_order_statistics
 
 SMALL = TrainingConfig(
     m_theta=25,
@@ -64,13 +73,20 @@ class TestTrainingConfig:
 
 class TestGenerateTrainingSet:
     def test_single_pair_composition(self):
+        # the row is the compression of any sorted dataset whose order
+        # statistics at the plan's ranks are the drawn ones, mapped through
+        # the quantile function of the parameter draw
         cfg = TrainingConfig(
             m_theta=1, n_obs=200, n_quantiles=4, seed=SeedSpec(13)
         )
         ts = generate_training_set(cfg)
         params = WeibullParams(ts.thetas[0, 0], ts.thetas[0, 1])
-        u = stream(cfg.seed, TRAIN_DATA_STREAM, 0, 0).random(cfg.n_obs)
-        expected = compress(weibull_quantile(u, params), cfg.n_quantiles)
+        ranks = quantile_plan(cfg.n_obs, cfg.n_quantiles).ranks
+        u = sample_uniform_order_statistics(
+            stream(cfg.seed, TRAIN_DATA_STREAM, 0), cfg.n_obs, ranks, 1
+        )[0]
+        dataset = np.interp(np.arange(cfg.n_obs), ranks, weibull_quantile(u, params))
+        expected = compress(dataset, cfg.n_quantiles)
         np.testing.assert_array_equal(ts.alphas[0], expected.values)
         assert ts.parent_index.tolist() == [0]
 
@@ -84,33 +100,52 @@ class TestGenerateTrainingSet:
         )
         np.testing.assert_array_equal(ts.thetas[:, 0], expected)
 
-    @pytest.mark.parametrize("batches", [1, 2, 5])
-    def test_schedule_independent(self, batches):
-        # every dataset has its own sub-stream, so drawing the training
-        # datasets in several batches must give the same training set
-        base = generate_training_set(SMALL)
-        paths = [
-            (TRAIN_DATA_STREAM, i, j) for i in range(SMALL.m_theta) for j in range(SMALL.m_y)
-        ]
-        bounds = np.linspace(0, len(paths), batches + 1).astype(int)
-        draws = np.concatenate(
-            [dataset_draws(SMALL, paths[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    @pytest.mark.parametrize("extra", [1, 2, 5])
+    def test_schedule_independent(self, extra):
+        # the datasets of each parameter draw, of each evaluation point and
+        # of the scatter set are consecutive rows of their own sub-stream, so
+        # a run with more draws, replicates or Monte-Carlo runs extends a
+        # smaller one row for row
+        cfg = TrainingConfig(m_theta=6, m_y=2, n_obs=300, n_quantiles=5, seed=SeedSpec(18))
+        big = replace(cfg, m_theta=cfg.m_theta + extra, m_y=cfg.m_y + extra)
+        small_set, big_set = generate_training_set(cfg), generate_training_set(big)
+        np.testing.assert_array_equal(big_set.thetas[: cfg.m_theta], small_set.thetas)
+        rows = big_set.alphas.reshape(big.m_theta, big.m_y, -1)[: cfg.m_theta, : cfg.m_y]
+        np.testing.assert_array_equal(rows.reshape(small_set.alphas.shape), small_set.alphas)
+
+        points = ((2.0, 2.0), (8.0, 8.0))
+        short = ExperimentConfig(training=cfg, eval_points=points, mc_runs=3)
+        long = ExperimentConfig(training=big, eval_points=points, mc_runs=3 + extra)
+        np.testing.assert_array_equal(evaluation_draws(long)[:, :3], evaluation_draws(short))
+        np.testing.assert_array_equal(
+            scatter_draws(long)[: cfg.m_theta], scatter_draws(short)
         )
-        other = generate_training_set(SMALL, draws=draws)
-        np.testing.assert_array_equal(base.thetas, other.thetas)
-        np.testing.assert_array_equal(base.alphas, other.alphas)
 
     def test_rows_equal_per_dataset_compression(self):
-        # the batched path sorts uniforms and transforms only the order
-        # statistics read; each row must equal compressing the whole dataset
+        # row j of parameter draw i is row j of that draw's sub-stream,
+        # compressed through the quantile function of draw i
         cfg = TrainingConfig(m_theta=6, m_y=2, n_obs=300, n_quantiles=5, seed=SeedSpec(17))
         ts = generate_training_set(cfg)
+        plan = quantile_plan(cfg.n_obs, cfg.n_quantiles)
         for i in range(cfg.m_theta):
             params = WeibullParams(ts.thetas[i, 0], ts.thetas[i, 1])
+            u = sample_uniform_order_statistics(
+                stream(cfg.seed, TRAIN_DATA_STREAM, i), cfg.n_obs, plan.ranks, cfg.m_y
+            )
             for j in range(cfg.m_y):
-                u = stream(cfg.seed, TRAIN_DATA_STREAM, i, j).random(cfg.n_obs)
-                expected = compress(weibull_quantile(u, params), cfg.n_quantiles)
-                np.testing.assert_array_equal(ts.alphas[i * cfg.m_y + j], expected.values)
+                expected = plan.quantiles(weibull_quantile(u[j], params))
+                np.testing.assert_array_equal(ts.alphas[i * cfg.m_y + j], expected)
+
+    def test_cost_does_not_grow_with_n_obs(self):
+        # drawing and sorting 10**12 observations would take 8 TB per dataset
+        cfg = TrainingConfig(m_theta=4, n_obs=10**12, n_quantiles=10, seed=SeedSpec(20))
+        draws = training_draws(cfg)
+        ranks = quantile_plan(cfg.n_obs, cfg.n_quantiles).ranks
+        assert draws.shape == (4, 19)
+        # the k-th smallest of N uniforms has mean k/(N+1) and, here, a
+        # relative standard deviation below 4e-6
+        expected = np.tile((ranks + 1) / (cfg.n_obs + 1), (4, 1))
+        np.testing.assert_allclose(draws, expected, rtol=1e-4)
 
     def test_replicates_share_parent(self):
         cfg = TrainingConfig(m_theta=3, m_y=2, n_obs=60, n_quantiles=3, seed=SeedSpec(15))

@@ -1,6 +1,8 @@
 """Monte-Carlo risk harness, table/scatter emission, and parse-back."""
 
+import errno
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +22,9 @@ from twostage import (
 )
 from twostage import estimator as est
 from twostage import experiment as exp
+from twostage.compression import quantile_plan
 from twostage.rng import stream
-from twostage.weibull import weibull_quantile
+from twostage.weibull import sample_uniform_order_statistics, weibull_quantile
 
 TINY_TRAIN = TrainingConfig(
     m_theta=12,
@@ -81,6 +84,30 @@ class TestConfig:
         with pytest.raises(ValueError):
             exp.config_from_dict({"training": {"m": 2}})
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [],
+            {"training": []},
+            {"training": {"m_theta": "x"}},
+            {"training": {"m_y": 1.5}},
+            {"training": {"n_obs": True}},
+            {"training": {"ridge": "1e-8"}},
+            {"training": {"seed": {"root_seed": "1"}}},
+            {"training": {"theta_distribution": {"kind": 1, "lower": 1, "upper": 20}}},
+            {"training": {"theta_distribution": {"kind": "uniform", "lower": None, "upper": 20}}},
+            {"mc_runs": None},
+            {"output_dir": 3},
+            {"eval_points": [2, 2]},
+            {"eval_points": [[2, None]]},
+            {"eval_points": [[2, 2, 2]]},
+            {"emit": [["table"]]},
+        ],
+    )
+    def test_from_dict_rejects_wrong_types(self, data):
+        with pytest.raises(ValueError):
+            exp.config_from_dict(data)
+
 
 class TestRunMseExperiment:
     def test_perfect_oracle_stub_has_zero_mse(self, monkeypatch):
@@ -132,17 +159,21 @@ class TestRunMseExperiment:
         assert base.rows == other.rows
 
     def test_blocked_run_matches_per_row_estimate(self):
-        # more runs than one readout block holds, and not a multiple of it
+        # more runs than one readout block holds, and not a multiple of it;
+        # run r is row r of the point's sub-stream, read out on its own
         runs = est._BLOCK_ROWS + 3
         model = fit_bayes(TINY_TRAIN)
         config = tiny_config(mc_runs=runs, eval_points=((4.0, 8.0),))
         report = run_mse_experiment(config, model, keep_errors=True)
-        params = WeibullParams(4.0, 8.0)
-        expected = np.empty((runs, 2))
-        for r in range(runs):
-            u = stream(TINY_TRAIN.seed, est.EVAL_STREAM, 0, r).random(TINY_TRAIN.n_obs)
-            expected[r] = np.subtract(est.estimate(model, weibull_quantile(u, params)), (4.0, 8.0))
-        np.testing.assert_allclose(report.errors[0], expected, rtol=1e-12, atol=0)
+        plan = quantile_plan(TINY_TRAIN.n_obs, TINY_TRAIN.n_quantiles)
+        u = sample_uniform_order_statistics(
+            stream(TINY_TRAIN.seed, est.EVAL_STREAM, 0), TINY_TRAIN.n_obs, plan.ranks, runs
+        )
+        alphas = plan.quantiles(weibull_quantile(u, WeibullParams(4.0, 8.0)))
+        expected = np.array(
+            [est.estimate_from_quantiles(model, alphas[r : r + 1])[0] for r in range(runs)]
+        )
+        np.testing.assert_allclose(report.errors[0], expected - (4.0, 8.0), rtol=1e-12, atol=0)
 
     def test_split_halves_agree_within_standard_errors(self):
         model = fit_bayes(TINY_TRAIN)
@@ -201,6 +232,32 @@ class TestReports:
         # file -> objects -> file is byte-identical
         second = exp.write_risk_reports(parsed, tmp_path / "again.csv")
         assert second.read_bytes() == path.read_bytes()
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", ["model", "table", "scatter"])
+    def test_failed_write_keeps_existing_file(self, writer, tmp_path, monkeypatch):
+        model = fit_bayes(TINY_TRAIN)
+        config = tiny_config(output_dir=tmp_path)
+        report = run_mse_experiment(config, model)
+        target, write = {
+            "model": ("model.txt", lambda path: est.save_model(model, path)),
+            "table": ("table1.csv", lambda path: exp.write_risk_reports([report], path)),
+            "scatter": ("scatter_bayes.csv", lambda path: emit_scatter(model, config)),
+        }[writer]
+        path = tmp_path / target
+        path.write_text("old\n")
+        real_write_text = Path.write_text
+
+        def disk_full(self, data, *args, **kwargs):
+            real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        with pytest.raises(OSError):
+            write(path)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == [target]
 
 
 @pytest.fixture(scope="module")

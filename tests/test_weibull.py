@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import chi2
 
 from twostage import (
     SeedSpec,
@@ -17,6 +18,11 @@ from twostage import (
     weibull_pdf,
     weibull_quantile,
 )
+from twostage.compression import quantile_plan
+from twostage.rng import stream
+from twostage.weibull import sample_uniform_order_statistics
+
+from oracles import sorted_uniform_order_statistics
 
 PARAM_GRID = [
     WeibullParams(1.0, 1.0),
@@ -123,8 +129,6 @@ class TestQuantile:
 
 class TestSampling:
     def test_single_draw_is_inverse_cdf_of_stream(self):
-        from twostage.rng import stream
-
         seed = SeedSpec(909)
         u = stream(seed).random(1)
         assert sample_weibull(1, WeibullParams(3.0, 0.9), seed)[0] == weibull_quantile(
@@ -149,3 +153,54 @@ class TestSampling:
     def test_rejects_zero_draws(self):
         with pytest.raises(ValueError):
             sample_weibull(0, WeibullParams(1.0, 1.0), SeedSpec(0))
+
+
+def hotelling_t2(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Hotelling T^2 of the row means of a and b; for equal laws
+    and many rows it is about chi-squared with one degree per column."""
+    na, nb = len(a), len(b)
+    diff = a.mean(axis=0) - b.mean(axis=0)
+    pooled = (
+        (na - 1) * np.cov(a, rowvar=False) + (nb - 1) * np.cov(b, rowvar=False)
+    ) / (na + nb - 2)
+    return na * nb / (na + nb) * float(diff @ np.linalg.solve(pooled, diff))
+
+
+def logit(u: np.ndarray) -> np.ndarray:
+    return np.log(u) - np.log1p(-u)
+
+
+class TestUniformOrderStatistics:
+    # the protocol's size, and a small sample: at N = 1e4 a gamma shape off
+    # by one moves the statistics too little to see in 3000 rows
+    @pytest.mark.parametrize("n_samples,n", [(10000, 10), (40, 4)])
+    def test_matches_sort_oracle_in_law(self, n_samples, n):
+        # the order statistics are strongly correlated (adjacent ranks almost
+        # perfectly), so their joint law is tested, not one margin at a time
+        ranks = quantile_plan(n_samples, n).ranks
+        rows = 3000
+        fast = sample_uniform_order_statistics(
+            stream(SeedSpec(41), 0), n_samples, ranks, rows
+        )
+        slow = sorted_uniform_order_statistics(
+            stream(SeedSpec(41), 1), n_samples, ranks, rows
+        )
+        a, b = logit(fast), logit(slow)
+        assert hotelling_t2(a, b) < chi2.ppf(0.999, ranks.size)
+        sd_ratio = a.std(axis=0) / b.std(axis=0)
+        assert np.all((sd_ratio > 0.9) & (sd_ratio < 1.1)), sd_ratio
+
+    def test_rows_are_ascending_uniforms_below_one(self):
+        # at n_samples = 1e15 the ratio for the sample maximum rounds to 1.0
+        # in about one row in ten; a uniform draw never reaches 1
+        n_samples = 10**15
+        ranks = quantile_plan(n_samples, 3).ranks
+        u = sample_uniform_order_statistics(stream(SeedSpec(43)), n_samples, ranks, 200)
+        assert u.shape == (200, ranks.size)
+        assert np.all(u >= 0) and np.all(u < 1)
+        assert np.all(np.diff(u, axis=1) >= 0)
+
+    @pytest.mark.parametrize("ranks", [[], [3, 3], [5, 2], [-1, 2], [0, 10], [[1, 2]]])
+    def test_rejects_bad_ranks(self, ranks):
+        with pytest.raises(ValueError):
+            sample_uniform_order_statistics(stream(SeedSpec(44)), 10, ranks, 1)
