@@ -20,7 +20,6 @@ import numpy as np
 from . import solvers
 from ._files import write_text_atomic
 from .compression import (
-    CompressedVector,
     FeatureKind,
     order_statistics,
     quantile_plan,
@@ -117,9 +116,6 @@ class TrainingSet:
     alphas: np.ndarray  # (m_theta * m_y, n_quantiles)
     parent_index: np.ndarray  # (m_theta * m_y,)
     n_obs: int
-
-    def compressed(self, row: int) -> CompressedVector:
-        return CompressedVector(self.alphas[row])
 
 
 def dataset_draws(config: TrainingConfig, path, rows: int) -> np.ndarray:
@@ -222,7 +218,6 @@ def fit_from_training_set(
     ridge: float,
     method: str,
     config_fingerprint: str = "",
-    tolerance: float | None = None,
 ) -> TSModel:
     """Fit both parameter readouts on an existing training set."""
     targets = training_set.thetas[training_set.parent_index]
@@ -237,7 +232,7 @@ def fit_from_training_set(
         if method == METHOD_BAYES:
             coeffs.append(solvers.fit_ridge(problem))
         else:
-            coeffs.append(solvers.fit_minimax(problem, tolerance))
+            coeffs.append(solvers.fit_minimax(problem))
     n_q = training_set.alphas.shape[1]
     return TSModel(
         beta_scale=coeffs[0],
@@ -256,7 +251,7 @@ def fit_bayes(config: TrainingConfig) -> TSModel:
     )
 
 
-def fit_minimax(config: TrainingConfig, tolerance: float | None = None) -> TSModel:
+def fit_minimax(config: TrainingConfig) -> TSModel:
     """Worst-case fit: minimax regression of each parameter on its features.
 
     The configured distribution acts as the sampling proposal; the
@@ -265,7 +260,7 @@ def fit_minimax(config: TrainingConfig, tolerance: float | None = None) -> TSMod
     """
     training_set = generate_training_set(config)
     return fit_from_training_set(
-        training_set, config.ridge, METHOD_MINIMAX, config.fingerprint(), tolerance
+        training_set, config.ridge, METHOD_MINIMAX, config.fingerprint()
     )
 
 

@@ -13,9 +13,11 @@ any simplex weights u,
     L(u) = min_beta  sum_i u_i (t_i - phi_i . beta)^2 + ridge * ||beta||^2
 
 never exceeds the minimax optimum (a convex combination never exceeds a
-max), and L(u) is computable by one exact linear solve.  The certificate is
-objective - L(u) at the solver's dual weights, polished by dual ascent when
-needed.
+max), and L(u) is computable by one exact linear solve.  The mean-risk
+optimum (uniform u) is the first bound.  With ridge > 0 an active-set
+exchange then closes the gap with the closed-form dual of the epigraph
+program; with ridge = 0, or if the exchange stalls, L(u) at the
+interior-point dual weights does.
 """
 
 from __future__ import annotations
@@ -287,22 +289,19 @@ def _max_step(v, dv):
     return min(1.0, float(np.min(-v[neg] / dv[neg])))
 
 
-def fit_minimax(
-    problem: RegressionProblem,
-    tolerance: float | None = None,
-    max_exchanges: int | None = None,
-    max_polish: int = 400,
-) -> Coefficients:
+def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> Coefficients:
     """Minimize the worst-row quadratic loss max_i (t_i - phi_i.beta)^2 plus
     the uniform ridge term.
 
     ``tolerance`` bounds the certified suboptimality gap; None means 1e-6
-    relative to the objective at the warm start (the ridge solution).  The
-    interior-point pass locates the solution; the certificate is then
-    tightened by an active-set exchange on the equality KKT system whose
-    multipliers feed the closed-form dual bound.  If the certificate cannot
-    be driven below tolerance within the iteration budget, raises
-    SolverBudgetError carrying the best iterate.
+    relative to the objective at the warm start (the ridge solution, or the
+    least-squares solution when ridge = 0 leaves the normal matrix
+    singular).  The interior-point pass locates the solution.  With
+    ridge > 0 the certificate is then tightened by an active-set exchange
+    on the equality KKT system whose multipliers feed the epigraph dual
+    bound; with ridge = 0, or if the exchange falls short, the bound is
+    L(u) at the interior-point dual weights.  If no bound closes the gap
+    to tolerance, raises SolverBudgetError carrying the best iterate.
     """
     if tolerance is not None and not tolerance > 0:
         raise ValueError("tolerance must be positive")
@@ -335,7 +334,7 @@ def fit_minimax(
 
     if lam > 0.0 and best_f - best_lb > tolerance:
         best_beta, best_f, best_lb = _active_set_refine(
-            problem, best_beta, best_f, best_lb, tolerance, max_exchanges
+            problem, best_beta, best_f, best_lb, tolerance
         )
     if best_f - best_lb > tolerance:
         u = z[:M] + z[M:]
@@ -346,10 +345,6 @@ def fit_minimax(
         f_u, _ = evaluate_max_quadratic(beta_u, problem)
         if f_u < best_f:
             best_beta, best_f = beta_u, f_u
-        if best_f - best_lb > tolerance:
-            best_beta, best_f, best_lb = _dual_polish(
-                u, problem, best_beta, best_f, best_lb, tolerance, max_polish
-            )
 
     certificate = max(best_f - best_lb, 0.0)
     coeff = Coefficients(beta=best_beta, objective=best_f, certificate=certificate)
@@ -387,7 +382,6 @@ def _active_set_refine(
     best_f: float,
     best_lb: float,
     tolerance: float,
-    budget: int | None,
 ):
     """Exchange iteration on the active constraint set (ridge > 0 only).
 
@@ -405,8 +399,6 @@ def _active_set_refine(
     phi, t, lam = problem.features, problem.targets, problem.ridge
     M, m = phi.shape
     best_beta = beta_start
-    if budget is None:
-        budget = 3 * (m + 1) + 120
 
     # at most m+1 constraints can be active at a nondegenerate vertex
     r = t - phi @ beta_start
@@ -417,7 +409,7 @@ def _active_set_refine(
     sides = np.where(r[rows] >= 0, 1.0, -1.0)
     z_k = np.zeros(rows.size)
 
-    for _ in range(budget):
+    for _ in range(3 * (m + 1) + 120):  # exchange budget
         if rows.size == 0:
             rr = t - phi @ best_beta
             rows = np.array([int(np.argmax(np.abs(rr)))])
@@ -515,78 +507,3 @@ def _solve_equilibrated(K: np.ndarray, rhs: np.ndarray):
         res = rhs_ld - keq_ld @ sol_ld
         sol_ld = sol_ld + scipy.linalg.lu_solve(lu, res.astype(float), check_finite=False)
     return sol_ld.astype(float) / col_scale
-
-
-def _dual_polish(u, problem, best_beta, best_f, best_lb, tolerance, max_iter):
-    """Ascend the concave dual L(u) over the simplex by line-searched vertex
-    steps; each step mixes in the currently worst residual row."""
-    phi, t, lam = problem.features, problem.targets, problem.ridge
-    m = problem.n_features
-    eye = lam * np.eye(m)
-
-    A_u = phi.T @ (u[:, None] * phi)
-    b_u = phi.T @ (u * t)
-    c_u = float(u @ (t * t))
-
-    for _ in range(max_iter):
-        lb, beta_u = _weighted_lower_bound(u, problem)
-        if lb > best_lb:
-            best_lb = lb
-        f_u, _ = evaluate_max_quadratic(beta_u, problem)
-        if f_u < best_f:
-            best_beta, best_f = beta_u, f_u
-        if best_f - best_lb <= tolerance:
-            break
-
-        r = t - phi @ beta_u
-        i_star = int(np.argmax(r * r))
-        pf = phi[i_star]
-        A_v = np.outer(pf, pf)
-        b_v = pf * t[i_star]
-        c_v = float(t[i_star] ** 2)
-
-        def dual_value(sv):
-            # min of the s-mixed quadratic: c(s) - b(s) . argmin
-            A = (1.0 - sv) * A_u + sv * A_v + eye
-            b = (1.0 - sv) * b_u + sv * b_v
-            c = (1.0 - sv) * c_u + sv * c_v
-            if lam > 0.0:
-                try:
-                    cho = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-                    bb = scipy.linalg.cho_solve(cho, b, check_finite=False)
-                except np.linalg.LinAlgError:
-                    bb = np.linalg.lstsq(A, b, rcond=None)[0]
-            else:
-                bb = np.linalg.lstsq(A, b, rcond=None)[0]
-            return c - float(b @ bb)
-
-        s_best, v_best = _golden_max(dual_value, 0.0, 1.0)
-        if v_best <= lb or s_best <= 0.0:
-            break  # no ascent along this vertex direction
-        u = (1.0 - s_best) * u
-        u[i_star] += s_best
-        A_u = (1.0 - s_best) * A_u + s_best * A_v
-        b_u = (1.0 - s_best) * b_u + s_best * b_v
-        c_u = (1.0 - s_best) * c_u + s_best * c_v
-    return best_beta, best_f, best_lb
-
-
-def _golden_max(fn, lo, hi, iters=40):
-    """Golden-section maximum of a concave 1-D function on [lo, hi]."""
-    inv = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv * (b - a)
-    x2 = a + inv * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv * (b - a)
-            f2 = fn(x2)
-    if f1 >= f2:
-        return x1, f1
-    return x2, f2

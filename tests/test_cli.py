@@ -95,6 +95,17 @@ class TestFit:
         )
         assert result.exit_code == 3
 
+    def test_minimax_solver_failure_exits_3(self, runner, tmp_path):
+        # the ridge-0 shape fit cannot be certified to tolerance
+        cfg = tiny_config_file(tmp_path)
+        result = runner.invoke(
+            main,
+            ["fit", "--config", str(cfg), "--method", "minimax", "--ridge", "0",
+             "--m-theta", "40"],
+        )
+        assert result.exit_code == 3
+        assert "solver failure" in result.output
+
     def test_unreadable_config_exits_4(self, runner, tmp_path):
         result = runner.invoke(main, ["fit", "--config", str(tmp_path / "missing.json")])
         assert result.exit_code == 4

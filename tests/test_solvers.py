@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from twostage.compression import FeatureKind
+from twostage.estimator import TrainingConfig, build_feature_matrix, generate_training_set
+from twostage.rng import SeedSpec
 from twostage.solvers import (
     Coefficients,
     RankDeficiencyError,
@@ -190,14 +193,38 @@ class TestFitMinimax:
 
     def test_budget_error_carries_best_iterate(self):
         rng = np.random.default_rng(5)
-        problem = RegressionProblem(rng.normal(size=(12, 2)), rng.normal(size=12), 1e-8)
-        with pytest.raises(SolverBudgetError) as err:
-            fit_minimax(problem, tolerance=1e-300)
-        coeff = err.value.coefficients
-        assert isinstance(coeff, Coefficients)
-        assert coeff.certificate > 1e-300
-        value, _ = evaluate_max_quadratic(coeff.beta, problem)
-        assert value == pytest.approx(coeff.objective)
+        unreachable = RegressionProblem(rng.normal(size=(12, 2)), rng.normal(size=12), 1e-8)
+        # ridge 0 shape fit: the interior point and L(u) leave a gap above
+        # the default tolerance, with no exchange phase to close it
+        config = TrainingConfig(
+            m_theta=40, n_obs=120, n_quantiles=4, ridge=0.0, seed=SeedSpec(7)
+        )
+        training_set = generate_training_set(config)
+        shape_fit = RegressionProblem(
+            build_feature_matrix(training_set.alphas, FeatureKind.SHAPE),
+            training_set.thetas[training_set.parent_index, 1],
+            0.0,
+        )
+        for problem, tolerance in ((unreachable, 1e-300), (shape_fit, None)):
+            with pytest.raises(SolverBudgetError) as err:
+                fit_minimax(problem, tolerance)
+            coeff = err.value.coefficients
+            assert isinstance(coeff, Coefficients)
+            assert coeff.certificate > (tolerance or 1e-6 * coeff.objective)
+            value, _ = evaluate_max_quadratic(coeff.beta, problem)
+            assert value == pytest.approx(coeff.objective)
+
+    def test_rank_deficient_ridge_zero_takes_lstsq_warm_start(self):
+        # both columns equal: only s = beta0 + beta1 matters, and the worst
+        # of |1 - s|, |2 - 2s|, |4 - 3s| is least where 2s - 2 = 4 - 3s,
+        # s = 6/5, with worst squared residual (2/5)^2
+        problem = RegressionProblem([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], [1.0, 2.0, 4.0], 0.0)
+        with pytest.raises(RankDeficiencyError):
+            fit_ridge(problem)
+        mm = fit_minimax(problem)
+        assert mm.objective == pytest.approx(0.16, rel=1e-6)
+        assert mm.beta[0] + mm.beta[1] == pytest.approx(6.0 / 5.0, rel=1e-6)
+        assert mm.certificate <= 1e-6 * mm.objective
 
     def test_oracle_agreement_small_instances(self):
         rng = np.random.default_rng(314)
