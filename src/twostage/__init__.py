@@ -12,10 +12,7 @@ from .compression import (
     CompressedVector,
     DegenerateInputError,
     FeatureKind,
-    FeatureVector,
     compress,
-    feature_scale,
-    feature_shape,
     order_statistics,
     sample_quantile,
 )
@@ -65,10 +62,7 @@ __all__ = [
     "CompressedVector",
     "DegenerateInputError",
     "FeatureKind",
-    "FeatureVector",
     "compress",
-    "feature_scale",
-    "feature_shape",
     "order_statistics",
     "sample_quantile",
     "FisherMatrix",

@@ -2,14 +2,14 @@
 print bounds, reproduce the benchmark table, and dump scatter data.
 
 Configuration comes from an optional JSON file (mirroring the experiment
-config field names) with flags overriding individual values.  Exit codes:
+config field names) with flags overriding individual values; each
+subcommand accepts only the flags it reads.  Exit codes:
 0 success, 2 invalid configuration, model file or data, 3 solver failure,
 4 I/O failure.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from dataclasses import replace
@@ -26,30 +26,46 @@ from .rng import SeedSpec
 from .weibull import WeibullParams
 
 
-def _common_options(fn):
-    @click.option("--config", "config_path", type=click.Path(), default=None,
-                  help="JSON config file mirroring the experiment config fields.")
-    @click.option("--seed", type=int, default=None, help="Root seed override.")
-    @click.option("--m-theta", type=int, default=None, help="Parameter draws (M).")
-    @click.option("--n-obs", type=int, default=None, help="Observations per dataset (N).")
-    @click.option("--n-quantiles", type=int, default=None, help="Compression size (n).")
-    @click.option("--ridge", type=float, default=None, help="Ridge weight.")
-    @click.option("--prior", type=click.Choice(["uniform", "reciprocal"]), default=None,
-                  help="Parameter distribution kind.")
-    @click.option("--method", type=click.Choice(["bayes", "minimax"]), default=None,
-                  help="Fitting method.")
-    @click.option("--mc-runs", type=int, default=None, help="Monte-Carlo runs per point.")
-    @click.option("--out", "out_path", type=click.Path(), default=None,
-                  help="Output file (fit/evaluate/crlb) or directory (table/scatter).")
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        return fn(*args, **kwargs)
+_OPTIONS = {
+    "config": click.option("--config", "config_path", type=click.Path(), default=None,
+                           help="JSON config file mirroring the experiment config fields."),
+    "seed": click.option("--seed", type=int, default=None, help="Root seed override."),
+    "m_theta": click.option("--m-theta", type=int, default=None, help="Parameter draws (M)."),
+    "n_obs": click.option("--n-obs", type=int, default=None,
+                          help="Observations per dataset (N)."),
+    "n_quantiles": click.option("--n-quantiles", type=int, default=None,
+                                help="Compression size (n)."),
+    "ridge": click.option("--ridge", type=float, default=None, help="Ridge weight."),
+    "prior": click.option("--prior", type=click.Choice(["uniform", "reciprocal"]),
+                          default=None, help="Parameter distribution kind."),
+    "method": click.option("--method", type=click.Choice(["bayes", "minimax"]),
+                           default=None, help="Fitting method."),
+    "mc_runs": click.option("--mc-runs", type=int, default=None,
+                            help="Monte-Carlo runs per point."),
+    "out_file": click.option("--out", "out_path", type=click.Path(), default=None,
+                             help="Output file."),
+    "out_dir": click.option("--out", "out_path", type=click.Path(), default=None,
+                            help="Output directory."),
+    "model": click.option("--model", "model_path", type=click.Path(), required=True,
+                          help="Model file written by `fit`."),
+}
 
-    return wrapper
+
+def _options(*names):
+    """Add the named options to a command, in the order given: each command
+    accepts only the flags it reads."""
+
+    def decorate(fn):
+        for name in reversed(names):
+            fn = _OPTIONS[name](fn)
+        return fn
+
+    return decorate
 
 
-def _load_config(config_path, seed, m_theta, n_obs, n_quantiles, ridge, prior,
-                 mc_runs, out_dir=None) -> exp.ExperimentConfig:
+def _load_config(config_path=None, seed=None, m_theta=None, n_obs=None,
+                 n_quantiles=None, ridge=None, prior=None, mc_runs=None,
+                 out_dir=None) -> exp.ExperimentConfig:
     data = {}
     if config_path is not None:
         data = json.loads(Path(config_path).read_text())
@@ -102,14 +118,13 @@ def main():
 
 
 @main.command()
-@_common_options
-def fit(config_path, seed, m_theta, n_obs, n_quantiles, ridge, prior, method,
-        mc_runs, out_path):
+@_options("config", "seed", "m_theta", "n_obs", "n_quantiles", "ridge", "prior",
+          "method", "out_file")
+def fit(method, out_path, **overrides):
     """Fit a model and write it to --out (default model_<method>.txt)."""
 
     def action():
-        config = _load_config(config_path, seed, m_theta, n_obs, n_quantiles,
-                              ridge, prior, mc_runs)
+        config = _load_config(**overrides)
         chosen = method or est.METHOD_BAYES
         if chosen == est.METHOD_BAYES:
             model = est.fit_bayes(config.training)
@@ -126,8 +141,7 @@ def fit(config_path, seed, m_theta, n_obs, n_quantiles, ridge, prior, method,
 
 
 @main.command(name="estimate")
-@click.option("--model", "model_path", type=click.Path(), required=True,
-              help="Model file written by `fit`.")
+@_options("model")
 @click.option("--data", "data_path", type=click.Path(), required=True,
               help="Text file of positive observations separated by whitespace.")
 def estimate_command(model_path, data_path):
@@ -144,16 +158,12 @@ def estimate_command(model_path, data_path):
 
 
 @main.command()
-@_common_options
-@click.option("--model", "model_path", type=click.Path(), required=True,
-              help="Model file written by `fit`.")
-def evaluate(config_path, seed, m_theta, n_obs, n_quantiles, ridge, prior, method,
-             mc_runs, out_path, model_path):
+@_options("config", "seed", "n_obs", "n_quantiles", "mc_runs", "out_file", "model")
+def evaluate(out_path, model_path, **overrides):
     """Run the Monte-Carlo risk evaluation for a fitted model."""
 
     def action():
-        config = _load_config(config_path, seed, m_theta, n_obs, n_quantiles,
-                              ridge, prior, mc_runs)
+        config = _load_config(**overrides)
         model = est.load_model(model_path)
         report = exp.run_mse_experiment(config, model)
         target = Path(out_path) if out_path else Path("report.csv")
@@ -165,15 +175,15 @@ def evaluate(config_path, seed, m_theta, n_obs, n_quantiles, ridge, prior, metho
 
 
 @main.command(name="crlb")
-@_common_options
-def crlb_command(config_path, seed, m_theta, n_obs, n_quantiles, ridge, prior,
-                 method, mc_runs, out_path):
+@_options("config", "n_obs", "out_file")
+def crlb_command(config_path, n_obs, out_path):
     """Print the Cramér-Rao bounds at the configured evaluation points."""
 
     def action():
-        config = _load_config(config_path, seed, m_theta, n_obs, n_quantiles,
-                              ridge, prior, mc_runs)
-        n = config.training.n_obs
+        config = _load_config(config_path)
+        # the bound needs no training set, so N bypasses TrainingConfig and
+        # its check against n_quantiles
+        n = config.training.n_obs if n_obs is None else n_obs
         lines = ["true_eta,true_gamma,crlb_eta,crlb_gamma"]
         for eta, gam in config.eval_points:
             b_eta, b_gam = crlb(WeibullParams(eta, gam), n)
@@ -187,14 +197,13 @@ def crlb_command(config_path, seed, m_theta, n_obs, n_quantiles, ridge, prior,
 
 
 @main.command(name="reproduce-table1")
-@_common_options
-def reproduce_table1(config_path, seed, m_theta, n_obs, n_quantiles, ridge, prior,
-                     method, mc_runs, out_path):
+@_options("config", "seed", "m_theta", "n_obs", "n_quantiles", "ridge", "mc_runs",
+          "out_dir")
+def reproduce_table1(out_path, **overrides):
     """Fit and evaluate all three rule variants and emit the combined table."""
 
     def action():
-        config = _load_config(config_path, seed, m_theta, n_obs, n_quantiles,
-                              ridge, prior, mc_runs, out_dir=out_path)
+        config = _load_config(**overrides, out_dir=out_path)
         reports = exp.reproduce_table(config)
         table = config.output_dir / "table1.csv"
         if table.exists():
@@ -208,16 +217,13 @@ def reproduce_table1(config_path, seed, m_theta, n_obs, n_quantiles, ridge, prio
 
 
 @main.command()
-@_common_options
-@click.option("--model", "model_path", type=click.Path(), required=True,
-              help="Model file written by `fit`.")
-def scatter(config_path, seed, m_theta, n_obs, n_quantiles, ridge, prior, method,
-            mc_runs, out_path, model_path):
+@_options("config", "seed", "m_theta", "n_obs", "n_quantiles", "prior", "out_dir",
+          "model")
+def scatter(out_path, model_path, **overrides):
     """Write true-vs-estimated scatter data for a fitted model."""
 
     def action():
-        config = _load_config(config_path, seed, m_theta, n_obs, n_quantiles,
-                              ridge, prior, mc_runs, out_dir=out_path)
+        config = _load_config(**overrides, out_dir=out_path)
         model = est.load_model(model_path)
         path = exp.emit_scatter(model, config)
         click.echo(f"scatter data written to {path}")

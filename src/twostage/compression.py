@@ -4,8 +4,9 @@ quantiles, and the feature expansions feeding the linear second stage.
 The n-dimensional compressed vector holds the sample quantiles at
 p = k/n for k = 1..n (p = 1 is the sample maximum).  Two feature maps read
 it out: the scale map appends quantile ratios to the raw quantiles, and the
-shape map takes all monomials up to order 2 (including the constant) of the
-quantiles plus their ratios against the top quantile.
+shape map takes the distinct monomials up to order 2 (including the
+constant) of the quantiles and their ratios against the top quantile,
+3n(n+1)/2 columns in all.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ def scale_feature_len(n: int) -> int:
 
 
 def shape_feature_len(n: int) -> int:
-    k = 2 * n - 1
-    return 1 + k + k * (k + 1) // 2
+    return 3 * n * (n + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -55,47 +55,6 @@ class CompressedVector:
     @property
     def n(self) -> int:
         return self.values.size
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray
-    kind: FeatureKind
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "kind", FeatureKind(self.kind))
-        if vals.ndim != 1:
-            raise ValueError("values must be a 1-D vector")
-        m = vals.size
-        if self.kind is FeatureKind.SCALE:
-            if m % 2 == 0 or m < 1:
-                raise ValueError(f"scale feature length must be 2n-1, got {m}")
-        else:
-            n = _shape_len_to_n(m)
-            if n is None:
-                raise ValueError(f"invalid shape feature length {m}")
-
-    @property
-    def m(self) -> int:
-        return self.values.size
-
-
-def _shape_len_to_n(m: int) -> int | None:
-    # invert m = 1 + k + k(k+1)/2 with k = 2n-1
-    disc = 9 + 8 * (m - 1)
-    root = int(np.sqrt(disc))
-    while root * root > disc:
-        root -= 1
-    while (root + 1) * (root + 1) <= disc:
-        root += 1
-    if root * root != disc:
-        return None
-    k, rem = divmod(root - 3, 2)
-    if rem or k < 1 or k % 2 == 0:
-        return None
-    return (k + 1) // 2
 
 
 def order_statistics(y) -> np.ndarray:
@@ -212,7 +171,8 @@ def compress(y, n: int) -> CompressedVector:
 
 
 def scale_features(alphas: np.ndarray) -> np.ndarray:
-    """feature_scale of every row of a quantile matrix, in C order."""
+    """Scale features of every row of a quantile matrix, in C order: the
+    quantiles followed by the ratios a_2/a_1, ..., a_n/a_1 (2n-1 columns)."""
     rows, n = alphas.shape
     if np.any(alphas[:, 0] == 0.0):
         raise DegenerateInputError("first quantile is zero; ratio features undefined")
@@ -223,7 +183,14 @@ def scale_features(alphas: np.ndarray) -> np.ndarray:
 
 
 def shape_features(alphas: np.ndarray) -> np.ndarray:
-    """feature_shape of every row of a quantile matrix, in C order."""
+    """Shape features of every row of a quantile matrix, in C order: the
+    distinct monomials up to order 2 of psi = (a_1..a_n, r_1..r_{n-1}),
+    r_k = a_k/a_n.
+
+    The columns are [1] + [psi_j] + [psi_j * psi_k for j <= k, row-major],
+    less the products a_j * r_k with j > k, which repeat a_k * r_j (or, for
+    j = n, a_k): 3n(n+1)/2 columns for n quantiles.
+    """
     rows, n = alphas.shape
     top = alphas[:, n - 1 :]
     if np.any(top == 0.0):
@@ -234,30 +201,21 @@ def shape_features(alphas: np.ndarray) -> np.ndarray:
     psi = out[:, 1 : k + 1]
     psi[:, :n] = alphas
     np.divide(alphas[:, : n - 1], top, out=psi[:, n:])
-    jj, kk = _upper_pairs(k)
+    jj, kk = _distinct_pairs(n)
     np.multiply(psi[:, jj], psi[:, kk], out=out[:, k + 1 :])
     return out
 
 
 @functools.lru_cache(maxsize=64)
-def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(k), cached and read-only: it costs more than the
-    rest of a one-row shape feature map."""
-    pairs = np.triu_indices(k)
+def _distinct_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (j, k) of psi indices whose products shape_features emits,
+    cached and read-only: they cost more than the rest of a one-row shape
+    feature map."""
+    jj, kk = np.triu_indices(2 * n - 1)
+    # psi index i is a_{i+1} for i < n and r_{i-n+1} for i >= n: drop the
+    # products a_j * r_k with j > k
+    keep = ~((jj < n) & (kk >= n) & (jj > kk - n))
+    pairs = (jj[keep], kk[keep])
     for array in pairs:
         array.flags.writeable = False
     return pairs
-
-
-def feature_scale(alpha: CompressedVector) -> FeatureVector:
-    """Quantiles followed by the ratios a_2/a_1, ..., a_n/a_1 (length 2n-1)."""
-    return FeatureVector(scale_features(alpha.values[None])[0], FeatureKind.SCALE)
-
-
-def feature_shape(alpha: CompressedVector) -> FeatureVector:
-    """All monomials up to order 2 of (a_1..a_n, a_1/a_n, ..., a_{n-1}/a_n).
-
-    The output is [1] + [psi_j] + [psi_j * psi_k for j <= k, row-major];
-    for n quantiles that is 1 + (2n-1) + (2n-1)(2n)/2 entries.
-    """
-    return FeatureVector(shape_features(alpha.values[None])[0], FeatureKind.SHAPE)

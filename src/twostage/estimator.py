@@ -43,10 +43,10 @@ TRAIN_DATA_STREAM = 1
 EVAL_STREAM = 2
 SCATTER_STREAM = 3
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 # rows read out per feature matrix: bounds the memory of the shape features
-# (210 columns for n = 10) however many datasets are estimated
+# (165 columns for n = 10) however many datasets are estimated
 _BLOCK_ROWS = 1024
 
 
@@ -331,8 +331,9 @@ def save_model(model: TSModel, path) -> Path:
 
 
 def load_model(path) -> TSModel:
-    """Read a model written by save_model.  A malformed file, a missing
-    header key or a non-finite number raises ValueError naming the file."""
+    """Read a model written by save_model.  A file of another format
+    version, a malformed file, a missing header key or a non-finite number
+    raises ValueError naming the file."""
     text = Path(path).read_text()
     try:
         head, body = text.split("\n\n", 1)
@@ -344,8 +345,12 @@ def load_model(path) -> TSModel:
         if not _:
             raise ValueError(f"{path}: malformed header line {line!r}")
         header[key.strip()] = value.strip()
-    if header.get("ts_model_version") != str(MODEL_FORMAT_VERSION):
-        raise ValueError(f"{path}: unsupported model version")
+    version = header.get("ts_model_version")
+    if version != str(MODEL_FORMAT_VERSION):
+        raise ValueError(
+            f"{path}: unsupported model version {version!r} (this program reads "
+            f"version {MODEL_FORMAT_VERSION}); refit the model"
+        )
 
     def field(key: str, parse=str):
         if key not in header:

@@ -38,9 +38,13 @@ class RankDeficiencyError(SolverError):
 
 
 class SolverBudgetError(SolverError):
-    """Iteration budget exhausted before the requested certificate was met.
+    """No bound that fit_minimax ran closed the certified gap to tolerance.
 
-    Carries the best iterate found, with its (still valid) certificate.
+    The interior point runs once, then, with ridge > 0 only, the active-set
+    exchange (until a clean KKT point or its exchange budget), then the
+    weighted bound L(u) once; the message names the ones that ran.  At
+    ridge 0 no iteration budget is spent.  Carries the best iterate found,
+    with its (still valid) certificate.
     """
 
     def __init__(self, message: str, coefficients: "Coefficients"):
@@ -332,11 +336,14 @@ def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> C
     if f_ipm < best_f:
         best_beta, best_f = beta_ipm, f_ipm
 
+    bounds = ["the interior point"]
     if lam > 0.0 and best_f - best_lb > tolerance:
+        bounds.append("the active-set exchange")
         best_beta, best_f, best_lb = _active_set_refine(
             problem, best_beta, best_f, best_lb, tolerance
         )
     if best_f - best_lb > tolerance:
+        bounds.append("the weighted bound L(u)")
         u = z[:M] + z[M:]
         total = float(np.sum(u))
         u = u / total if total > 0 else np.full(M, 1.0 / M)
@@ -351,7 +358,7 @@ def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> C
     if certificate > tolerance:
         raise SolverBudgetError(
             f"certified gap {certificate:.3e} above tolerance {tolerance:.3e} "
-            f"after the iteration budget",
+            f"after {', '.join(bounds[:-1])} and {bounds[-1]}",
             coeff,
         )
     return coeff

@@ -1,5 +1,5 @@
-"""Independent brute-force oracles shared by the sampler, solver and
-acceptance tests."""
+"""Independent brute-force oracles shared by the sampler, feature-map,
+solver and acceptance tests."""
 
 import numpy as np
 import scipy.optimize
@@ -70,3 +70,17 @@ def sorted_uniform_order_statistics(
         buf.sort()
         out[r] = buf[ranks]
     return out
+
+
+def all_quadratic_monomials(alphas: np.ndarray) -> np.ndarray:
+    """Every product up to order 2 of psi = (a_1..a_n, a_1/a_n..a_{n-1}/a_n),
+    row by row: [1] + [psi_j] + [psi_j * psi_k for j <= k, row-major].
+
+    The map the shape features are drawn from, repeats included: a_n times
+    a_k/a_n is a_k again, and a_j times a_k/a_n is a_k times a_j/a_n.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    n = alphas.shape[1]
+    psi = np.hstack([alphas, alphas[:, : n - 1] / alphas[:, n - 1 :]])
+    jj, kk = np.triu_indices(psi.shape[1])
+    return np.hstack([np.ones((len(alphas), 1)), psi, psi[:, jj] * psi[:, kk]])

@@ -37,6 +37,35 @@ def tiny_config_file(tmp_path, **overrides):
     return path
 
 
+# flags that some subcommands accept but do not read, with a value for each
+UNREAD_FLAGS = [
+    ("fit", "--mc-runs", "5"),
+    ("evaluate", "--m-theta", "5"),
+    ("evaluate", "--ridge", "0.1"),
+    ("evaluate", "--prior", "uniform"),
+    ("evaluate", "--method", "bayes"),
+    ("crlb", "--seed", "1"),
+    ("crlb", "--m-theta", "5"),
+    ("crlb", "--n-quantiles", "3"),
+    ("crlb", "--ridge", "0.1"),
+    ("crlb", "--prior", "uniform"),
+    ("crlb", "--method", "minimax"),
+    ("crlb", "--mc-runs", "5"),
+    ("reproduce-table1", "--prior", "uniform"),
+    ("reproduce-table1", "--method", "bayes"),
+    ("scatter", "--ridge", "0.1"),
+    ("scatter", "--method", "bayes"),
+    ("scatter", "--mc-runs", "5"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", UNREAD_FLAGS)
+def test_rejects_flag_it_does_not_read(runner, command, flag, value):
+    result = runner.invoke(main, [command, flag, value])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and flag in result.output
+
+
 class TestFit:
     def test_writes_model_file(self, runner, tmp_path):
         cfg = tiny_config_file(tmp_path)
@@ -148,6 +177,12 @@ class TestCrlb:
         assert "crlb_eta" in result.output
         assert len(result.output.strip().splitlines()) >= 2
 
+    def test_n_obs_below_default_quantile_count(self, runner):
+        # the bound needs no compression, so N need not exceed n_quantiles
+        result = runner.invoke(main, ["crlb", "--n-obs", "5"])
+        assert result.exit_code == 0, result.output
+        assert "2.00000e+00,2.00000e+00,2.21733e-01,4.86342e-01" in result.output
+
     def test_default_grid_without_config(self, runner):
         result = runner.invoke(main, ["crlb", "--n-obs", "10000"])
         assert result.exit_code == 0
@@ -218,6 +253,18 @@ class TestEstimate:
         )
         assert result.exit_code == 2
         assert "positive and finite" in result.output
+
+    def test_version_1_model_exits_2(self, runner, tmp_path, model_and_data):
+        model_path, y = model_and_data
+        text = model_path.read_text()
+        model_path.write_text(text.replace("ts_model_version: 2\n", "ts_model_version: 1\n"))
+        data = tmp_path / "y.txt"
+        data.write_text(" ".join(f"{v:.17g}" for v in y))
+        result = runner.invoke(
+            main, ["estimate", "--model", str(model_path), "--data", str(data)]
+        )
+        assert result.exit_code == 2
+        assert "unsupported model version '1'" in result.output and "refit" in result.output
 
     def test_model_missing_header_key_exits_2(self, runner, tmp_path, model_and_data):
         model_path, y = model_and_data

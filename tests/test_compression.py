@@ -8,18 +8,22 @@ from hypothesis import strategies as st
 from twostage import (
     CompressedVector,
     DegenerateInputError,
-    FeatureKind,
     SeedSpec,
     WeibullParams,
     compress,
-    feature_scale,
-    feature_shape,
     order_statistics,
     sample_quantile,
     sample_weibull,
     weibull_quantile,
 )
-from twostage.compression import scale_feature_len, shape_feature_len
+from twostage.compression import (
+    scale_feature_len,
+    scale_features,
+    shape_feature_len,
+    shape_features,
+)
+
+from oracles import all_quadratic_monomials
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -178,39 +182,53 @@ class TestCompressedVector:
             CompressedVector(np.array([1.0, np.inf]))
 
 
+def one_row(feature_map, values):
+    """The feature map of one compressed vector."""
+    return feature_map(np.asarray(values, dtype=float)[None])[0]
+
+
+# quantile matrices: a few rows of n non-decreasing positive quantiles
+quantile_rows = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.floats(min_value=0.1, max_value=100.0), min_size=n, max_size=n).map(sorted),
+        min_size=1,
+        max_size=5,
+    )
+)
+
+
 class TestFeatureScale:
     def test_two_quantile_example(self):
-        out = feature_scale(CompressedVector(np.array([3.0, 5.0])))
-        assert out.kind is FeatureKind.SCALE
-        np.testing.assert_allclose(out.values, [3.0, 5.0, 5.0 / 3.0])
+        out = one_row(scale_features, [3.0, 5.0])
+        np.testing.assert_allclose(out, [3.0, 5.0, 5.0 / 3.0])
 
     def test_all_ones(self):
-        out = feature_scale(CompressedVector(np.ones(6)))
-        np.testing.assert_array_equal(out.values, np.ones(11))
+        out = one_row(scale_features, np.ones(6))
+        np.testing.assert_array_equal(out, np.ones(11))
 
     def test_three_quantile_example(self):
-        out = feature_scale(CompressedVector(np.array([1.0, 2.0, 4.0])))
-        np.testing.assert_array_equal(out.values, [1.0, 2.0, 4.0, 2.0, 4.0])
+        out = one_row(scale_features, [1.0, 2.0, 4.0])
+        np.testing.assert_array_equal(out, [1.0, 2.0, 4.0, 2.0, 4.0])
 
     def test_zero_first_quantile_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            feature_scale(CompressedVector(np.array([0.0, 1.0])))
+            one_row(scale_features, [0.0, 1.0])
 
     def test_ratio_block_scale_invariant(self):
         rng = np.random.default_rng(9)
         y = rng.weibull(2.0, size=300) * 2.0
         n = 5
-        base = feature_scale(compress(y, n)).values[n:]
+        base = one_row(scale_features, compress(y, n).values)[n:]
         for c in (0.01, 3.7, 250.0):
-            scaled = feature_scale(compress(c * y, n)).values[n:]
+            scaled = one_row(scale_features, compress(c * y, n).values)[n:]
             np.testing.assert_allclose(scaled, base, rtol=1e-12)
 
 
 class TestFeatureShape:
     def test_two_quantile_enumeration(self):
         a1, a2 = 3.0, 5.0
-        out = feature_shape(CompressedVector(np.array([a1, a2])))
-        assert out.kind is FeatureKind.SHAPE
+        out = one_row(shape_features, [a1, a2])
+        # a2 * (a1 / a2) repeats a1 and is left out
         expected = [
             1.0,
             a1,
@@ -220,22 +238,33 @@ class TestFeatureShape:
             a1 * a2,
             a1 * a1 / a2,
             a2 * a2,
-            a1,
             a1 * a1 / (a2 * a2),
         ]
-        np.testing.assert_allclose(out.values, expected, rtol=1e-14)
+        np.testing.assert_allclose(out, expected, rtol=1e-14)
 
     def test_all_ones(self):
-        out = feature_shape(CompressedVector(np.ones(4)))
-        np.testing.assert_array_equal(out.values, np.ones(shape_feature_len(4)))
+        out = one_row(shape_features, np.ones(4))
+        np.testing.assert_array_equal(out, np.ones(shape_feature_len(4)))
 
     def test_length_formula(self):
-        assert shape_feature_len(10) == 210
+        assert shape_feature_len(10) == 165
         assert scale_feature_len(10) == 19
-        alpha = CompressedVector(np.linspace(1.0, 2.0, 10))
-        assert feature_shape(alpha).values.size == 210
-        assert feature_scale(alpha).values.size == 19
+        alpha = np.linspace(1.0, 2.0, 10)
+        assert one_row(shape_features, alpha).size == 165
+        assert one_row(scale_features, alpha).size == 19
 
     def test_zero_top_quantile_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            feature_shape(CompressedVector(np.array([0.0, 0.0])))
+            one_row(shape_features, [0.0, 0.0])
+
+    @given(quantile_rows)
+    @settings(max_examples=200, deadline=None)
+    def test_spans_all_quadratic_monomials(self, rows):
+        # every column of the map with repeated monomials is a column of
+        # this one, so dropping the repeats leaves the span unchanged
+        alphas = np.array(rows)
+        full = all_quadratic_monomials(alphas)
+        distinct = shape_features(alphas)
+        assert distinct.shape[1] == shape_feature_len(alphas.shape[1])
+        match = np.isclose(full[:, :, None], distinct[:, None, :], rtol=1e-13, atol=0.0)
+        assert match.all(axis=0).any(axis=1).all()

@@ -25,6 +25,7 @@ from twostage import (
 )
 from twostage import solvers
 from twostage.compression import (
+    FeatureKind,
     compress,
     quantile_plan,
     scale_feature_len,
@@ -206,11 +207,16 @@ class TestFits:
             bayes.beta_shape.beta, minimax.beta_shape.beta, rtol=1e-6, atol=1e-9
         )
 
+    def test_shape_features_have_full_column_rank(self):
+        # the protocol's training set (seed 1): no shape column repeats another
+        ts = generate_training_set(TrainingConfig(seed=SeedSpec(1)))
+        phi = build_feature_matrix(ts.alphas, FeatureKind.SHAPE)
+        assert phi.shape[1] == 165
+        assert np.linalg.matrix_rank(phi) == 165
+
     def test_minimax_dominates_bayes_on_worst_row(self):
         ts = generate_training_set(SMALL)
         targets = ts.thetas[ts.parent_index]
-        from twostage.compression import FeatureKind
-
         phi = build_feature_matrix(ts.alphas, FeatureKind.SCALE)
         problem = solvers.RegressionProblem(phi, targets[:, 0], SMALL.ridge)
         ridge_fit = solvers.fit_ridge(problem)
@@ -223,8 +229,6 @@ class TestFits:
         ts = generate_training_set(SMALL)
         model = fit_from_training_set(ts, SMALL.ridge, method)
         targets = ts.thetas[ts.parent_index]
-        from twostage.compression import FeatureKind
-
         phi = build_feature_matrix(ts.alphas, FeatureKind.SCALE)
         problem = solvers.RegressionProblem(phi, targets[:, 0], SMALL.ridge)
         beta = model.beta_scale.beta
@@ -350,6 +354,14 @@ class TestSerialization:
 
         path = self._edited_model_file(tmp_path, edit)
         with pytest.raises(ValueError, match="model.txt.*shape_objective"):
+            load_model(path)
+
+    def test_rejects_version_1_file(self, tmp_path):
+        # version 1 files hold the shape map with repeated monomials
+        path = self._edited_model_file(
+            tmp_path, lambda text: text.replace("ts_model_version: 2\n", "ts_model_version: 1\n")
+        )
+        with pytest.raises(ValueError, match="model.txt: unsupported model version '1'.*refit"):
             load_model(path)
 
     def test_rejects_wrong_coefficient_count(self, tmp_path):

@@ -205,9 +205,16 @@ class TestFitMinimax:
             training_set.thetas[training_set.parent_index, 1],
             0.0,
         )
-        for problem, tolerance in ((unreachable, 1e-300), (shape_fit, None)):
+        # each case with the bounds that ran before the error
+        cases = (
+            (unreachable, 1e-300,
+             "the interior point, the active-set exchange and the weighted bound L(u)"),
+            (shape_fit, None, "the interior point and the weighted bound L(u)"),
+        )
+        for problem, tolerance, bounds in cases:
             with pytest.raises(SolverBudgetError) as err:
                 fit_minimax(problem, tolerance)
+            assert str(err.value).endswith(f"after {bounds}")
             coeff = err.value.coefficients
             assert isinstance(coeff, Coefficients)
             assert coeff.certificate > (tolerance or 1e-6 * coeff.objective)
