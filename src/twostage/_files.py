@@ -1,4 +1,4 @@
-"""Atomic file output shared by the model, table and scatter writers."""
+"""Atomic file output shared by the model, table, scatter and bound writers."""
 
 from __future__ import annotations
 

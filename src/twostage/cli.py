@@ -20,6 +20,7 @@ import click
 from . import estimator as est
 from . import experiment as exp
 from . import solvers
+from ._files import write_text_atomic
 from .crlb import crlb
 from .priors import PriorSpec
 from .rng import SeedSpec
@@ -63,13 +64,14 @@ def _options(*names):
     return decorate
 
 
+def _read_config(config_path=None) -> dict:
+    return {} if config_path is None else json.loads(Path(config_path).read_text())
+
+
 def _load_config(config_path=None, seed=None, m_theta=None, n_obs=None,
                  n_quantiles=None, ridge=None, prior=None, mc_runs=None,
                  out_dir=None) -> exp.ExperimentConfig:
-    data = {}
-    if config_path is not None:
-        data = json.loads(Path(config_path).read_text())
-    config = exp.config_from_dict(data)
+    config = exp.config_from_dict(_read_config(config_path))
 
     train = config.training
     train_kwargs = {}
@@ -180,10 +182,11 @@ def crlb_command(config_path, n_obs, out_path):
     """Print the Cramér-Rao bounds at the configured evaluation points."""
 
     def action():
-        config = _load_config(config_path)
-        # the bound needs no training set, so N bypasses TrainingConfig and
-        # its check against n_quantiles
-        n = config.training.n_obs if n_obs is None else n_obs
+        # the bound needs no training set, so N, from the file or the flag,
+        # bypasses TrainingConfig and its check against n_quantiles
+        config, n = exp.crlb_inputs_from_dict(_read_config(config_path))
+        if n_obs is not None:
+            n = n_obs
         lines = ["true_eta,true_gamma,crlb_eta,crlb_gamma"]
         for eta, gam in config.eval_points:
             b_eta, b_gam = crlb(WeibullParams(eta, gam), n)
@@ -191,7 +194,7 @@ def crlb_command(config_path, n_obs, out_path):
         text = "\n".join(lines) + "\n"
         click.echo(text, nl=False)
         if out_path:
-            Path(out_path).write_text(text)
+            write_text_atomic(out_path, text)
 
     _run(action)
 

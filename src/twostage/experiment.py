@@ -381,3 +381,19 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if key in data:
             kwargs[key] = data[key]
     return ExperimentConfig(**kwargs)
+
+
+def crlb_inputs_from_dict(data: dict) -> tuple[ExperimentConfig, int]:
+    """The config and the sample size N for the Cramér-Rao bound, which
+    needs no training set: ``training.n_obs`` and ``training.n_quantiles``
+    are type-checked but not checked against each other."""
+    training = data.get("training") if isinstance(data, dict) else None
+    if not isinstance(training, dict):
+        config = config_from_dict(data)
+        return config, config.training.n_obs
+    sizes = {key: training[key] for key in ("n_obs", "n_quantiles") if key in training}
+    for key, value in sizes.items():
+        _check_type(value, _INTEGER, f"training key {key!r}")
+    rest = {key: value for key, value in training.items() if key not in sizes}
+    config = config_from_dict({**data, "training": rest})
+    return config, sizes.get("n_obs", config.training.n_obs)

@@ -22,11 +22,9 @@ interior-point dual weights does.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class SolverError(RuntimeError):
@@ -115,6 +113,17 @@ def evaluate_max_quadratic(beta, problem: RegressionProblem) -> tuple[float, int
     return float(q[idx]), idx
 
 
+def _cholesky_solver(A: np.ndarray):
+    """Factor A = L L' once and return the solve r -> A^-1 r.
+
+    numpy has no triangular solve, so L is inverted once and every solve is
+    two matrix-vector products.  Raises LinAlgError unless A is positive
+    definite to working precision.
+    """
+    linv = np.linalg.inv(np.linalg.cholesky(A))
+    return lambda r: linv.T @ (linv @ r)
+
+
 def _solve_spd(A: np.ndarray, lam: float, message: str = "singular system"):
     """Factor A (SPD up to rounding) and return a solve closure.
 
@@ -122,12 +131,11 @@ def _solve_spd(A: np.ndarray, lam: float, message: str = "singular system"):
     lam = 0 a Cholesky failure means genuine rank deficiency.
     """
     try:
-        cho = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-        return lambda r: scipy.linalg.cho_solve(cho, r, check_finite=False)
+        return _cholesky_solver(A)
     except np.linalg.LinAlgError:
         if lam == 0.0:
             raise RankDeficiencyError(message) from None
-        w, v = scipy.linalg.eigh(A, check_finite=False)
+        w, v = np.linalg.eigh(A)
         floor = max(w[-1], 0.0) * np.finfo(float).eps + np.finfo(float).tiny
         w = np.maximum(w, floor)
         return lambda r: v @ ((v.T @ r) / w)
@@ -228,7 +236,11 @@ def _ipm_epigraph(phi, t, pdiag, beta0, f_scale, max_iter=80):
     mu0 = 0.1 * max(f_scale, 1e-10)
     z = np.maximum(mu0 / s, 1e-10)
 
+    # Cholesky shift: each iteration starts one step below the last shift
+    # that factored, so a system that needs a shift (P singular at ridge 0)
+    # costs one retry per iteration, not a climb from delta0
     delta0 = 1e-12 * (1.0 + float(np.max(pdiag)))
+    delta_ok = delta0
     for _ in range(max_iter):
         rp = g_apply(x) + s - h
         mu = float(s @ z) / (2 * M)
@@ -248,22 +260,21 @@ def _ipm_epigraph(phi, t, pdiag, beta0, f_scale, max_iter=80):
         Hfull[m, m] = float(np.sum(lo + hi))
         Hfull[np.diag_indices(m + 1)] += pdiag
 
-        delta = delta0
+        delta = max(delta0, delta_ok / 100.0)
         while True:
             try:
-                cho = scipy.linalg.cho_factor(
-                    Hfull + delta * np.eye(m + 1), lower=True, check_finite=False
-                )
+                solve = _cholesky_solver(Hfull + delta * np.eye(m + 1))
                 break
             except np.linalg.LinAlgError:
                 delta *= 100.0
                 if delta > 1e6 * (1.0 + float(np.max(np.abs(Hfull)))):
                     raise
+        delta_ok = delta
 
         def kkt_solve(extra):
             # Newton direction for complementarity target s*z + extra -> 0
             rhs = -(pdiag * x) - gt_apply(w * rp) + gt_apply(extra / s)
-            dx = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
+            dx = solve(rhs)
             ds = -rp - g_apply(dx)
             dz = -(s * z + extra) / s - w * ds
             return dx, ds, dz
@@ -496,15 +507,14 @@ def _solve_equilibrated(K: np.ndarray, rhs: np.ndarray):
         keq /= cmax[None, :]
         col_scale *= cmax
     try:
-        with warnings.catch_warnings():
-            # exact singularity is expected for degenerate working sets and
-            # handled by the caller; lu_solve then yields non-finite entries
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(keq, check_finite=False)
-            rhs_eq = rhs / row_scale
-            sol = scipy.linalg.lu_solve(lu, rhs_eq, check_finite=False)
-    except (np.linalg.LinAlgError, ValueError):
+        # formed once, applied once per refinement step
+        kinv = np.linalg.inv(keq)
+    except np.linalg.LinAlgError:
+        # exact singularity is expected for degenerate working sets and
+        # handled by the caller
         return None
+    rhs_eq = rhs / row_scale
+    sol = kinv @ rhs_eq
     if not np.all(np.isfinite(sol)):
         return None
     keq_ld = keq.astype(np.longdouble)
@@ -512,5 +522,5 @@ def _solve_equilibrated(K: np.ndarray, rhs: np.ndarray):
     sol_ld = sol.astype(np.longdouble)
     for _ in range(5):
         res = rhs_ld - keq_ld @ sol_ld
-        sol_ld = sol_ld + scipy.linalg.lu_solve(lu, res.astype(float), check_finite=False)
+        sol_ld = sol_ld + kinv @ res.astype(float)
     return sol_ld.astype(float) / col_scale

@@ -1,6 +1,11 @@
 """Command-line interface: subcommands, config/flag plumbing, exit codes."""
 
+import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +195,37 @@ class TestCrlb:
         assert len(result.output.strip().splitlines()) == 7
         assert "1.10866e-04" in result.output
 
+    def test_config_n_obs_below_default_quantile_count(self, runner, tmp_path):
+        # N from the file is no more checked against n_quantiles than --n-obs
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"training": {"n_obs": 5}}))
+        result = runner.invoke(main, ["crlb", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert "2.00000e+00,2.00000e+00,2.21733e-01,4.86342e-01" in result.output
+
+    @pytest.mark.parametrize("training", [{"n_obs": "5"}, {"n_obs": 5, "n_quantiles": 2.5}])
+    def test_config_sizes_of_wrong_type_exit_2(self, runner, tmp_path, training):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"training": training}))
+        result = runner.invoke(main, ["crlb", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "must be an integer" in result.output
+
+    def test_failed_out_write_keeps_existing_file(self, runner, tmp_path, monkeypatch):
+        path = tmp_path / "bounds.csv"
+        path.write_text("old\n")
+        real_write_text = Path.write_text
+
+        def disk_full(self, data, *args, **kwargs):
+            real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        result = runner.invoke(main, ["crlb", "--n-obs", "100", "--out", str(path)])
+        assert result.exit_code == 4
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["bounds.csv"]
+
 
 class TestReproduceTable:
     def test_end_to_end(self, runner, tmp_path):
@@ -279,3 +315,18 @@ class TestEstimate:
         )
         assert result.exit_code == 2
         assert "model.txt" in result.output and "shape_objective" in result.output
+
+
+def test_start_up_imports_no_scipy():
+    # the solvers run on numpy alone; scipy is a test-only dependency
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, twostage, twostage.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

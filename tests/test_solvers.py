@@ -11,6 +11,8 @@ from twostage.solvers import (
     RankDeficiencyError,
     RegressionProblem,
     SolverBudgetError,
+    _solve_equilibrated,
+    _solve_spd,
     evaluate_max_quadratic,
     fit_minimax,
     fit_ridge,
@@ -285,3 +287,57 @@ class TestFitMinimax:
         dedup = fit_minimax(RegressionProblem(base_phi, base_t, 1e-8))
         assert dup.objective == pytest.approx(dedup.objective, rel=1e-9)
         assert dup.certificate <= 1e-6 * dup.objective
+
+
+class TestLinearSolves:
+    def test_spd_eigen_fallback_solves_on_range(self):
+        # a random SPD block beside the all-ones 2 x 2 block, rows permuted:
+        # Cholesky meets an exactly zero pivot, so the ridge > 0 path falls
+        # back to the clamped eigendecomposition
+        rng = np.random.default_rng(11)
+        g = rng.normal(size=(6, 4))
+        A = np.zeros((6, 6))
+        A[:4, :4] = g.T @ g + np.eye(4)
+        A[4:, 4:] = 1.0
+        perm = rng.permutation(6)
+        A = A[np.ix_(perm, perm)]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(A)
+        b = A @ rng.normal(size=6)
+        x = _solve_spd(A, lam=1e-8)(b)
+        assert np.all(np.isfinite(x))
+        np.testing.assert_allclose(A @ x, b, rtol=0, atol=1e-12 * np.linalg.norm(b))
+
+    @pytest.mark.parametrize(
+        "K",
+        [
+            [[1.0, 2.0], [2.0, 4.0]],
+            # the KKT layout of a working set that holds one row twice
+            [
+                [1.0, 2.0, 1.0, 0.0, 0.0],
+                [1.0, 2.0, 1.0, 0.0, 0.0],
+                [2e-8, 0.0, 0.0, -1.0, -1.0],
+                [0.0, 2e-8, 0.0, -2.0, -2.0],
+                [0.0, 0.0, 2.0, -1.0, -1.0],
+            ],
+        ],
+    )
+    def test_equilibrated_solve_rejects_singular_system(self, K):
+        K = np.array(K)
+        assert _solve_equilibrated(K, np.ones(K.shape[0])) is None
+
+    def test_equilibrated_solve_on_badly_scaled_system(self):
+        # rows and columns scaled over 16 decades around a well-conditioned
+        # core: cond(K) is about 1e27, yet the system is regular
+        rng = np.random.default_rng(4)
+        n = 40
+        core = rng.normal(size=(n, n)) + n * np.eye(n)
+        row, col = 10.0 ** rng.uniform(-8, 8, n), 10.0 ** rng.uniform(-8, 8, n)
+        K = row[:, None] * core * col[None, :]
+        x_true = rng.normal(size=n)
+        rhs = K @ x_true
+        sol = _solve_equilibrated(K, rhs)
+        assert sol is not None
+        # componentwise backward error at rounding level, row by row
+        backward = np.abs(K @ sol - rhs) / (np.abs(K) @ np.abs(sol) + np.abs(rhs))
+        assert float(np.max(backward)) <= 1e-15
