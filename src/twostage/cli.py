@@ -70,8 +70,15 @@ def _read_config(config_path=None) -> dict:
 
 def _load_config(config_path=None, seed=None, m_theta=None, n_obs=None,
                  n_quantiles=None, ridge=None, prior=None, mc_runs=None,
-                 out_dir=None) -> exp.ExperimentConfig:
-    config = exp.config_from_dict(_read_config(config_path))
+                 out_dir=None, model=None) -> exp.ExperimentConfig:
+    """The config file with the flags applied.  Given the model to apply,
+    its n_quantiles stands in for a config file that names none; one that
+    names another value fails the run's quantile check."""
+    data = _read_config(config_path)
+    training = data.get("training", {}) if isinstance(data, dict) else None
+    if model is not None and isinstance(training, dict):
+        data = {**data, "training": {"n_quantiles": model.n_quantiles, **training}}
+    config = exp.config_from_dict(data)
 
     train = config.training
     train_kwargs = {}
@@ -160,13 +167,13 @@ def estimate_command(model_path, data_path):
 
 
 @main.command()
-@_options("config", "seed", "n_obs", "n_quantiles", "mc_runs", "out_file", "model")
+@_options("config", "seed", "n_obs", "mc_runs", "out_file", "model")
 def evaluate(out_path, model_path, **overrides):
     """Run the Monte-Carlo risk evaluation for a fitted model."""
 
     def action():
-        config = _load_config(**overrides)
         model = est.load_model(model_path)
+        config = _load_config(**overrides, model=model)
         report = exp.run_mse_experiment(config, model)
         target = Path(out_path) if out_path else Path("report.csv")
         exp.write_risk_reports([report], target)
@@ -220,14 +227,13 @@ def reproduce_table1(out_path, **overrides):
 
 
 @main.command()
-@_options("config", "seed", "m_theta", "n_obs", "n_quantiles", "prior", "out_dir",
-          "model")
+@_options("config", "seed", "m_theta", "n_obs", "prior", "out_dir", "model")
 def scatter(out_path, model_path, **overrides):
     """Write true-vs-estimated scatter data for a fitted model."""
 
     def action():
-        config = _load_config(**overrides, out_dir=out_path)
         model = est.load_model(model_path)
+        config = _load_config(**overrides, out_dir=out_path, model=model)
         path = exp.emit_scatter(model, config)
         click.echo(f"scatter data written to {path}")
 

@@ -52,10 +52,6 @@ class CompressedVector:
             raise ValueError("values must be a non-empty 1-D vector")
         validate_quantiles(vals)
 
-    @property
-    def n(self) -> int:
-        return self.values.size
-
 
 def order_statistics(y) -> np.ndarray:
     """The sample sorted ascending."""

@@ -16,7 +16,7 @@ from .compression import quantile_plan
 from .crlb import crlb
 from .priors import PriorKind, PriorSpec, prior_inverse_cdf
 from .rng import SeedSpec, stream
-from .weibull import WeibullParams, weibull_quantile
+from .weibull import WeibullParams
 
 TABLE_POINTS = ((2.0, 2.0), (2.0, 8.0), (4.0, 2.0), (4.0, 8.0), (8.0, 2.0), (8.0, 8.0))
 EMIT_KINDS = frozenset({"scatter", "table", "model"})
@@ -134,15 +134,12 @@ def run_mse_experiment(
         raise ValueError("evaluation draws do not match the config")
     rows = []
     all_errors = []
+    ones = np.ones(config.mc_runs)
     for p_idx, (eta, gam) in enumerate(config.eval_points):
-        params = WeibullParams(eta, gam)
-        # one scalar shape per point, as in weibull_quantile itself: numpy
-        # computes x ** 0.5 as sqrt(x), which can differ from a per-row power
-        # in the last bit
-        alphas = plan.quantiles(weibull_quantile(draws[p_idx], params))
-        errors = est.estimate_from_quantiles(model, alphas) - (params.scale, params.shape)
+        alphas = est.simulated_quantiles(train, draws[p_idx], eta * ones, gam * ones)
+        errors = est.estimate_from_quantiles(model, alphas) - (eta, gam)
         mse = np.mean(errors * errors, axis=0)
-        bound_eta, bound_gamma = crlb(params, train.n_obs)
+        bound_eta, bound_gamma = crlb(WeibullParams(eta, gam), train.n_obs)
         rows.append(
             RiskRow(
                 true_eta=eta,
@@ -248,6 +245,9 @@ def read_scatter(path) -> np.ndarray:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != _SCATTER_HEADER:
         raise ValueError(f"{path}: not a scatter file")
+    malformed = [line for line in lines[1:] if line.count(",") != 3]
+    if malformed:
+        raise ValueError(f"{path}: malformed row {malformed[0]!r}")
     return np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
 
 

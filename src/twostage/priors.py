@@ -49,18 +49,6 @@ class PriorSpec:
                 dens = np.where(inside, c / x_arr, 0.0)
         return dens if x_arr.ndim else float(dens)
 
-    def cdf(self, x):
-        """Distribution function, clamped to [0, 1] outside the support."""
-        x_arr = np.asarray(x, dtype=float)
-        a, b = self.lower, self.upper
-        if self.kind is PriorKind.UNIFORM:
-            c = (x_arr - a) / (b - a)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                c = np.log(np.maximum(x_arr, a) / a) / math.log(b / a)
-        c = np.clip(c, 0.0, 1.0)
-        return c if x_arr.ndim else float(c)
-
     def contains(self, x: float) -> bool:
         return self.lower <= x <= self.upper
 

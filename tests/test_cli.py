@@ -49,6 +49,7 @@ UNREAD_FLAGS = [
     ("evaluate", "--ridge", "0.1"),
     ("evaluate", "--prior", "uniform"),
     ("evaluate", "--method", "bayes"),
+    ("evaluate", "--n-quantiles", "4"),
     ("crlb", "--seed", "1"),
     ("crlb", "--m-theta", "5"),
     ("crlb", "--n-quantiles", "3"),
@@ -61,6 +62,7 @@ UNREAD_FLAGS = [
     ("scatter", "--ridge", "0.1"),
     ("scatter", "--method", "bayes"),
     ("scatter", "--mc-runs", "5"),
+    ("scatter", "--n-quantiles", "4"),
 ]
 
 
@@ -166,12 +168,32 @@ class TestEvaluate:
         cfg = tiny_config_file(tmp_path)
         model_path = tmp_path / "model.txt"
         runner.invoke(main, ["fit", "--config", str(cfg), "--out", str(model_path)])
+        data = json.loads(cfg.read_text())
+        data["training"]["n_quantiles"] = 3
+        cfg.write_text(json.dumps(data))
         result = runner.invoke(
-            main,
-            ["evaluate", "--config", str(cfg), "--model", str(model_path),
-             "--n-quantiles", "3"],
+            main, ["evaluate", "--config", str(cfg), "--model", str(model_path)]
         )
         assert result.exit_code == 2
+        assert "model has 4 quantiles, config expects 3" in result.output
+
+
+@pytest.mark.parametrize("command", ["evaluate", "scatter"])
+def test_quantile_count_comes_from_model(runner, tmp_path, command):
+    cfg = tiny_config_file(tmp_path)
+    model_path = tmp_path / "model.txt"
+    runner.invoke(main, ["fit", "--config", str(cfg), "--out", str(model_path)])
+    data = json.loads(cfg.read_text())
+    args = [command, "--config", str(cfg), "--model", str(model_path),
+            "--out", str(tmp_path / "out")]
+    del data["training"]["n_quantiles"]
+    cfg.write_text(json.dumps(data))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    # a config that names another count contradicts the model
+    data["training"]["n_quantiles"] = 3
+    cfg.write_text(json.dumps(data))
+    assert runner.invoke(main, args).exit_code == 2
 
 
 class TestCrlb:

@@ -1,6 +1,7 @@
 """End-to-end pipeline: training-set generation, Bayes/minimax fits,
 prediction, and model serialization."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +36,7 @@ from twostage.estimator import (
     THETA_STREAM,
     TRAIN_DATA_STREAM,
     build_feature_matrix,
+    estimate_from_quantiles,
     fit_from_training_set,
     training_draws,
 )
@@ -272,6 +274,13 @@ class TestEstimate:
         assert eta_hat == compress(y, n).values[0]
         assert gamma_hat == 0.0
 
+    def test_rejects_rows_of_another_quantile_count(self):
+        model = fit_bayes(SMALL)
+        alphas = generate_training_set(SMALL).alphas
+        estimate_from_quantiles(model, alphas)
+        with pytest.raises(ValueError, match="model has 5 quantiles, rows have 4"):
+            estimate_from_quantiles(model, alphas[:, :4])
+
     def test_needs_more_observations_than_quantiles(self):
         model = fit_bayes(SMALL)
         with pytest.raises(ValueError):
@@ -354,6 +363,22 @@ class TestSerialization:
 
         path = self._edited_model_file(tmp_path, edit)
         with pytest.raises(ValueError, match="model.txt.*shape_objective"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: text.replace("method: bayes\n", "method bayes\n"),
+             "malformed header line 'method bayes'"),
+            (lambda text: text.replace("n_quantiles: 5\n", "n_quantiles: five\n"),
+             "malformed n_quantiles 'five'"),
+            (lambda text: text.rstrip("\n") + "x\n", "malformed coefficient"),
+        ],
+        ids=["header-line", "header-number", "coefficient"],
+    )
+    def test_rejects_malformed_text(self, tmp_path, edit, message):
+        path = self._edited_model_file(tmp_path, edit)
+        with pytest.raises(ValueError, match=re.escape(f"model.txt: {message}")):
             load_model(path)
 
     def test_rejects_version_1_file(self, tmp_path):

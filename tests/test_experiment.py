@@ -188,6 +188,32 @@ class TestRunMseExperiment:
             assert diff <= 4 * se
 
 
+@pytest.mark.parametrize(
+    "cut", [lambda d: d[:-1], lambda d: d[..., :-1]], ids=["rows", "columns"]
+)
+@pytest.mark.parametrize("use", ["training", "evaluation", "scatter"])
+def test_rejects_draws_of_wrong_shape(use, cut, tmp_path):
+    model = fit_bayes(TINY_TRAIN)
+    config = tiny_config(output_dir=tmp_path)
+    draws, run = {
+        "training": (
+            est.training_draws(TINY_TRAIN),
+            lambda d: est.generate_training_set(TINY_TRAIN, d),
+        ),
+        "evaluation": (
+            exp.evaluation_draws(config),
+            lambda d: run_mse_experiment(config, model, draws=d),
+        ),
+        "scatter": (
+            exp.scatter_draws(config),
+            lambda d: emit_scatter(model, config, draws=d),
+        ),
+    }[use]
+    run(draws)
+    with pytest.raises(ValueError, match="draws"):
+        run(cut(draws))
+
+
 class TestScatter:
     def test_row_count_and_determinism(self, tmp_path):
         model = fit_bayes(TINY_TRAIN)
@@ -232,6 +258,23 @@ class TestReports:
         # file -> objects -> file is byte-identical
         second = exp.write_risk_reports(parsed, tmp_path / "again.csv")
         assert second.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("reader", [exp.read_scatter, exp.read_risk_reports])
+def test_readers_reject_foreign_file_and_malformed_rows(reader, tmp_path):
+    model = fit_bayes(TINY_TRAIN)
+    config = tiny_config(output_dir=tmp_path)
+    scatter = emit_scatter(model, config)
+    table = exp.write_risk_reports([run_mse_experiment(config, model)], tmp_path / "t.csv")
+    own, foreign = (scatter, table) if reader is exp.read_scatter else (table, scatter)
+    reader(own)
+    with pytest.raises(ValueError, match="not a"):
+        reader(foreign)
+    header, *rows = own.read_text().splitlines()
+    # every row loses its last field
+    own.write_text("\n".join([header] + [row.rsplit(",", 1)[0] for row in rows]) + "\n")
+    with pytest.raises(ValueError, match="malformed row"):
+        reader(own)
 
 
 class TestAtomicWrites:
