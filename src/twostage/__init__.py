@@ -5,18 +5,13 @@ two reads the parameters out of fixed nonlinear features of those quantiles
 with a linear rule fitted either for average risk under a prior (ridge
 regression) or for worst-case risk over the sampled parameters (minimax
 regression).  Includes the Weibull benchmark: simulator, priors, Fisher
-information / Cramér-Rao bounds, and a Monte-Carlo evaluation harness.
+information / Cramér-Rao bounds, and a Monte-Carlo evaluation harness.  The
+package holds only what the command line, the reproduction script and the
+benchmark run; test references and oracles live in tests/oracles.py.
 """
 
-from .compression import (
-    CompressedVector,
-    DegenerateInputError,
-    FeatureKind,
-    compress,
-    order_statistics,
-    sample_quantile,
-)
-from .crlb import FisherMatrix, crlb, fisher_oracle, fisher_per_sample
+from .compression import DegenerateInputError, FeatureKind, order_statistics
+from .crlb import FisherMatrix, crlb, fisher_per_sample
 from .estimator import (
     METHOD_BAYES,
     METHOD_MINIMAX,
@@ -38,7 +33,7 @@ from .experiment import (
     reproduce_table,
     run_mse_experiment,
 )
-from .priors import PriorKind, PriorSpec, sample_prior
+from .priors import PriorKind, PriorSpec
 from .rng import SeedSpec
 from .solvers import (
     Coefficients,
@@ -49,25 +44,14 @@ from .solvers import (
     evaluate_max_quadratic,
     fit_ridge,
 )
-from .weibull import (
-    WeibullParams,
-    sample_weibull,
-    weibull_cdf,
-    weibull_mean,
-    weibull_pdf,
-    weibull_quantile,
-)
+from .weibull import WeibullParams
 
 __all__ = [
-    "CompressedVector",
     "DegenerateInputError",
     "FeatureKind",
-    "compress",
     "order_statistics",
-    "sample_quantile",
     "FisherMatrix",
     "crlb",
-    "fisher_oracle",
     "fisher_per_sample",
     "METHOD_BAYES",
     "METHOD_MINIMAX",
@@ -88,7 +72,6 @@ __all__ = [
     "run_mse_experiment",
     "PriorKind",
     "PriorSpec",
-    "sample_prior",
     "SeedSpec",
     "Coefficients",
     "RankDeficiencyError",
@@ -98,9 +81,4 @@ __all__ = [
     "evaluate_max_quadratic",
     "fit_ridge",
     "WeibullParams",
-    "sample_weibull",
-    "weibull_cdf",
-    "weibull_mean",
-    "weibull_pdf",
-    "weibull_quantile",
 ]

@@ -2,17 +2,17 @@
 print bounds, reproduce the benchmark table, and dump scatter data.
 
 Configuration comes from an optional JSON file (mirroring the experiment
-config field names) with flags overriding individual values; each
-subcommand accepts only the flags it reads.  Exit codes:
-0 success, 2 invalid configuration, model file or data, 3 solver failure,
-4 I/O failure.
+config field names).  Flags are merged into its data before the config is
+built once, so a flag overrides one value and a field that neither names
+takes its default; each subcommand accepts only the flags it reads.
+Exit codes: 0 success, 2 invalid configuration, model file or data,
+3 solver failure, 4 I/O failure.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -22,8 +22,6 @@ from . import experiment as exp
 from . import solvers
 from ._files import write_text_atomic
 from .crlb import crlb
-from .priors import PriorSpec
-from .rng import SeedSpec
 from .weibull import WeibullParams
 
 
@@ -68,42 +66,46 @@ def _read_config(config_path=None) -> dict:
     return {} if config_path is None else json.loads(Path(config_path).read_text())
 
 
-def _load_config(config_path=None, seed=None, m_theta=None, n_obs=None,
-                 n_quantiles=None, ridge=None, prior=None, mc_runs=None,
-                 out_dir=None, model=None) -> exp.ExperimentConfig:
+# the place of each flag's value in the JSON config
+_FLAG_KEYS = {
+    "seed": ("training", "seed", "root_seed"),
+    "m_theta": ("training", "m_theta"),
+    "n_obs": ("training", "n_obs"),
+    "n_quantiles": ("training", "n_quantiles"),
+    "ridge": ("training", "ridge"),
+    "prior": ("training", "theta_distribution", "kind"),
+    "mc_runs": ("mc_runs",),
+    "out_dir": ("output_dir",),
+}
+
+
+def _merged(data, keys, value):
+    """``data`` with ``value`` at the nested ``keys``; a level that is not a
+    JSON object is left as it is, for config_from_dict to reject."""
+    if not isinstance(data, dict):
+        return data
+    key, *rest = keys
+    return {**data, key: _merged(data.get(key, {}), rest, value) if rest else value}
+
+
+def _config_data(config_path=None, **flags) -> dict:
+    """The config file's data with the given flags merged in."""
+    data = _read_config(config_path)
+    for name, value in flags.items():
+        if value is not None:
+            data = _merged(data, _FLAG_KEYS[name], value)
+    return data
+
+
+def _load_config(model=None, **flags) -> exp.ExperimentConfig:
     """The config file with the flags applied.  Given the model to apply,
     its n_quantiles stands in for a config file that names none; one that
     names another value fails the run's quantile check."""
-    data = _read_config(config_path)
+    data = _config_data(**flags)
     training = data.get("training", {}) if isinstance(data, dict) else None
-    if model is not None and isinstance(training, dict):
-        data = {**data, "training": {"n_quantiles": model.n_quantiles, **training}}
-    config = exp.config_from_dict(data)
-
-    train = config.training
-    train_kwargs = {}
-    if seed is not None:
-        train_kwargs["seed"] = SeedSpec(seed)
-    if m_theta is not None:
-        train_kwargs["m_theta"] = m_theta
-    if n_obs is not None:
-        train_kwargs["n_obs"] = n_obs
-    if n_quantiles is not None:
-        train_kwargs["n_quantiles"] = n_quantiles
-    if ridge is not None:
-        train_kwargs["ridge"] = ridge
-    if prior is not None:
-        dist = train.theta_distribution
-        train_kwargs["theta_distribution"] = PriorSpec(prior, dist.lower, dist.upper)
-    if train_kwargs:
-        train = replace(train, **train_kwargs)
-
-    config_kwargs = {"training": train}
-    if mc_runs is not None:
-        config_kwargs["mc_runs"] = mc_runs
-    if out_dir is not None:
-        config_kwargs["output_dir"] = Path(out_dir)
-    return replace(config, **config_kwargs)
+    if model is not None and isinstance(training, dict) and "n_quantiles" not in training:
+        data = _merged(data, ("training", "n_quantiles"), model.n_quantiles)
+    return exp.config_from_dict(data)
 
 
 def _run(action):
@@ -191,9 +193,7 @@ def crlb_command(config_path, n_obs, out_path):
     def action():
         # the bound needs no training set, so N, from the file or the flag,
         # bypasses TrainingConfig and its check against n_quantiles
-        config, n = exp.crlb_inputs_from_dict(_read_config(config_path))
-        if n_obs is not None:
-            n = n_obs
+        config, n = exp.crlb_inputs_from_dict(_config_data(config_path, n_obs=n_obs))
         lines = ["true_eta,true_gamma,crlb_eta,crlb_gamma"]
         for eta, gam in config.eval_points:
             b_eta, b_gam = crlb(WeibullParams(eta, gam), n)
@@ -215,9 +215,9 @@ def reproduce_table1(out_path, **overrides):
     def action():
         config = _load_config(**overrides, out_dir=out_path)
         reports = exp.reproduce_table(config)
-        table = config.output_dir / "table1.csv"
-        if table.exists():
-            click.echo(table.read_text(), nl=False)
+        # a table1.csv that this run did not write is left from another run
+        if "table" in config.emit:
+            click.echo((config.output_dir / "table1.csv").read_text(), nl=False)
         click.echo(
             f"{sum(len(r.rows) for r in reports)} rows evaluated; "
             f"outputs in {config.output_dir}"

@@ -2,7 +2,9 @@
 quantiles, and the feature expansions feeding the linear second stage.
 
 The n-dimensional compressed vector holds the sample quantiles at
-p = k/n for k = 1..n (p = 1 is the sample maximum).  Two feature maps read
+p = k/n for k = 1..n (p = 1 is the sample maximum), interpolated linearly
+between adjacent order statistics as numpy's "linear" quantile method does;
+sorted_quantiles(order_statistics(y), n) computes it.  Two feature maps read
 it out: the scale map appends quantile ratios to the raw quantiles, and the
 shape map takes the distinct monomials up to order 2 (including the
 constant) of the quantiles and their ratios against the top quantile,
@@ -39,20 +41,6 @@ def shape_feature_len(n: int) -> int:
     return 3 * n * (n + 1) // 2
 
 
-@dataclass(frozen=True)
-class CompressedVector:
-    """Sample quantiles at p = k/n, k = 1..n; values are non-decreasing."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or vals.size < 1:
-            raise ValueError("values must be a non-empty 1-D vector")
-        validate_quantiles(vals)
-
-
 def order_statistics(y) -> np.ndarray:
     """The sample sorted ascending."""
     arr = np.asarray(y, dtype=float)
@@ -61,35 +49,10 @@ def order_statistics(y) -> np.ndarray:
     return np.sort(arr)
 
 
-def sample_quantile(y_sorted, p: float) -> float:
-    """Linear interpolation between adjacent order statistics.
-
-    With zero-based position pos = p*(N-1), returns
-    y[floor(pos)] + frac * (y[ceil(pos)] - y[floor(pos)]); p = 1 is the
-    maximum.  The input must already be sorted ascending with N >= 2.
-    """
-    arr = np.asarray(y_sorted, dtype=float)
-    if arr.size < 2:
-        raise ValueError("y_sorted must have at least 2 entries")
-    if not 0 < p <= 1:
-        raise ValueError("p must lie in (0, 1]")
-    pos = p * (arr.size - 1)
-    lo = int(np.floor(pos))
-    hi = min(lo + 1, arr.size - 1)
-    frac = pos - lo
-    # two-sided lerp keeps accuracy at extreme fractions
-    if frac <= 0.5:
-        raw = arr[lo] + frac * (arr[hi] - arr[lo])
-    else:
-        raw = arr[hi] - (1.0 - frac) * (arr[hi] - arr[lo])
-    # the true quantile lies in [y[lo], y[hi]]; clamp away rounding overshoot
-    return float(min(max(raw, arr[lo]), arr[hi]))
-
-
 @dataclass(frozen=True, eq=False)
 class QuantilePlan:
     """Where the sample quantiles at p = k/n, k = 1..n, of an n_obs-sample
-    sit among its order statistics: the same positions as sample_quantile.
+    sit among its order statistics: zero-based position p*(n_obs-1).
 
     ``ranks`` holds the distinct zero-based ranks of the order statistics
     the quantiles read, ascending; quantile k lies ``frac[k]`` of the way
@@ -104,8 +67,8 @@ class QuantilePlan:
 
     def quantiles(self, stats) -> np.ndarray:
         """Sample quantiles along the last axis of ``stats``, which holds
-        each sample's order statistics at ``ranks``; elementwise the same
-        arithmetic as sample_quantile.  The result is in C order."""
+        each sample's order statistics at ``ranks``.  The result is in C
+        order."""
         lower = np.take(stats, self.lower, axis=-1)
         upper = np.take(stats, self.upper, axis=-1)
         span = upper - lower
@@ -151,19 +114,6 @@ def sorted_quantiles(ys, n: int) -> np.ndarray:
     """Quantiles at p = k/n for k = 1..n of a sample already sorted ascending."""
     plan = quantile_plan(ys.size, n)
     return plan.quantiles(ys[plan.ranks])
-
-
-def compress(y, n: int) -> CompressedVector:
-    """Quantiles of y at p = k/n for k = 1..n.
-
-    Requires len(y) > n so the compression actually discards information.
-    """
-    arr = np.asarray(y, dtype=float)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if arr.size <= n:
-        raise ValueError(f"need more than n={n} observations, got {arr.size}")
-    return CompressedVector(sorted_quantiles(order_statistics(arr), n))
 
 
 def scale_features(alphas: np.ndarray) -> np.ndarray:

@@ -7,8 +7,8 @@ With z = (x/scale)^shape ~ Exp(1), the per-observation scores are
     d/d(shape) log f = (1/shape) * (1 + (1 - z) * log z)
 
 and taking second moments of z, log z under Exp(1) gives the closed-form
-information matrix below.  The Monte-Carlo oracle estimates the same matrix
-from sampled observations so the closed form never has to be trusted blind.
+information matrix below.  The test suite checks it against a Monte-Carlo
+estimate of E[score score'] (tests/oracles.py, fisher_oracle).
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import SeedSpec, stream
-from .weibull import WeibullParams, weibull_quantile
+from .weibull import WeibullParams
 
 EULER_GAMMA = 0.57721566490153286060651209008240243
 
@@ -38,19 +37,6 @@ class FisherMatrix:
             raise ValueError("entries must be a 2x2 matrix")
         if not np.allclose(e, e.T, rtol=0.0, atol=0.0):
             raise ValueError("entries must be symmetric")
-
-
-def weibull_score(x, params: WeibullParams) -> np.ndarray:
-    """Per-observation score vector(s) d(log f)/d(scale, shape), shape (..., 2)."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0):
-        raise ValueError("x must be positive")
-    eta, gam = params.scale, params.shape
-    logz = gam * (np.log(x_arr) - math.log(eta))
-    z = np.exp(logz)
-    s_eta = (gam / eta) * (z - 1.0)
-    s_gam = (1.0 + (1.0 - z) * logz) / gam
-    return np.stack([s_eta, s_gam], axis=-1)
 
 
 def fisher_per_sample(params: WeibullParams) -> FisherMatrix:
@@ -76,19 +62,3 @@ def crlb(params: WeibullParams, n_obs: int) -> tuple[float, float]:
         float(info[1, 1] / (det * n_obs)),
         float(info[0, 0] / (det * n_obs)),
     )
-
-
-def fisher_oracle(params: WeibullParams, n_draws: int, seed: SeedSpec) -> FisherMatrix:
-    """Monte-Carlo estimate of E[score score'] from n_draws observations.
-
-    Observations are drawn by the inverse CDF on stratified uniforms (one
-    jittered point per stratum), which is unbiased for the same expectation
-    but collapses the variance of the cross moment: plain i.i.d. sampling
-    leaves that entry a ~1% coin flip even at 1e6 draws.
-    """
-    if n_draws < 10**5:
-        raise ValueError("n_draws must be at least 1e5 for a usable estimate")
-    u = (np.arange(n_draws) + stream(seed).random(n_draws)) / n_draws
-    x = weibull_quantile(np.maximum(u, 1e-300), params)
-    s = weibull_score(x, params)
-    return FisherMatrix(s.T @ s / n_draws)

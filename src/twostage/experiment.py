@@ -15,7 +15,7 @@ from ._files import write_text_atomic
 from .compression import quantile_plan
 from .crlb import crlb
 from .priors import PriorKind, PriorSpec, prior_inverse_cdf
-from .rng import SeedSpec, stream
+from .rng import stream
 from .weibull import WeibullParams
 
 TABLE_POINTS = ((2.0, 2.0), (2.0, 8.0), (4.0, 2.0), (4.0, 8.0), (8.0, 2.0), (8.0, 8.0))
@@ -320,8 +320,9 @@ def _check_type(value, json_type, what: str) -> None:
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON-style dict mirroring the
-    dataclass field names.  Unknown keys and values of the wrong JSON type
-    raise ValueError."""
+    dataclass field names.  A missing field, nested or not, takes its
+    default.  Unknown keys and values of the wrong JSON type raise
+    ValueError."""
 
     def take(d, fields: dict, what: str) -> dict:
         _check_type(d, _OBJECT, what)
@@ -358,16 +359,17 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             },
             "training",
         )
+        defaults = est.TrainingConfig()
         if "theta_distribution" in tdata:
             ddata = take(
                 tdata["theta_distribution"],
                 {"kind": _STRING, "lower": _NUMBER, "upper": _NUMBER},
                 "distribution",
             )
-            tdata["theta_distribution"] = PriorSpec(**ddata)
+            tdata["theta_distribution"] = replace(defaults.theta_distribution, **ddata)
         if "seed" in tdata:
             sdata = take(tdata["seed"], {"root_seed": _INTEGER, "stream_index": _INTEGER}, "seed")
-            tdata["seed"] = SeedSpec(**sdata)
+            tdata["seed"] = replace(defaults.seed, **sdata)
         kwargs["training"] = est.TrainingConfig(**tdata)
     for point in data.get("eval_points", []):
         _check_type(point, _ARRAY, "an eval point")

@@ -1,8 +1,8 @@
 """Parameter distributions on a positive interval: uniform and reciprocal.
 
 The reciprocal ("uninformative") density is c/x on [a, b] with c = 1/ln(b/a).
-Both kinds are sampled by inverse-CDF transform of uniform variates so the
-same seeded-stream machinery drives everything.
+Both kinds are drawn by the inverse CDF of uniform variates from a seeded
+stream (see prior_inverse_cdf).
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .rng import SeedSpec, stream
 
 
 class PriorKind(str, Enum):
@@ -36,19 +34,6 @@ class PriorSpec:
                 f"need 0 < lower < upper, got [{self.lower}, {self.upper}]"
             )
 
-    def pdf(self, x):
-        """Density at x (0 outside [lower, upper])."""
-        x_arr = np.asarray(x, dtype=float)
-        a, b = self.lower, self.upper
-        inside = (x_arr >= a) & (x_arr <= b)
-        if self.kind is PriorKind.UNIFORM:
-            dens = np.where(inside, 1.0 / (b - a), 0.0)
-        else:
-            c = 1.0 / math.log(b / a)
-            with np.errstate(divide="ignore"):
-                dens = np.where(inside, c / x_arr, 0.0)
-        return dens if x_arr.ndim else float(dens)
-
     def contains(self, x: float) -> bool:
         return self.lower <= x <= self.upper
 
@@ -67,10 +52,3 @@ def prior_inverse_cdf(u, prior: PriorSpec):
     else:
         x = a * (b / a) ** u_arr
     return x if u_arr.ndim else float(x)
-
-
-def sample_prior(m: int, prior: PriorSpec, seed: SeedSpec) -> np.ndarray:
-    """Draw m i.i.d. values from ``prior`` via the seeded stream."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return prior_inverse_cdf(stream(seed).random(m), prior)

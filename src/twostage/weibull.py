@@ -1,9 +1,9 @@
-"""Two-parameter Weibull model: density, quantile function, seeded sampling.
+"""Two-parameter Weibull model: parameters, the quantile function applied
+row by row, and seeded draws of uniform order statistics.
 
-All sampling goes through the inverse CDF applied to uniform variates in
-[0, 1), or to their order statistics drawn directly, so every draw is a
-deterministic function of its seed and p = 1 (an infinite quantile) can
-never be hit.
+Every simulated dataset is the quantile function applied to uniform order
+statistics in [0, 1), drawn directly, so every draw is a deterministic
+function of its seed and p = 1 (an infinite quantile) can never be hit.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .rng import SeedSpec, stream
 
 
 @dataclass(frozen=True)
@@ -32,43 +30,9 @@ class WeibullParams:
             raise ValueError(f"shape must be a positive real, got {self.shape}")
 
 
-def weibull_pdf(x, params: WeibullParams):
-    """Density (shape/scale) * (x/scale)^(shape-1) * exp(-(x/scale)^shape).
-
-    Accepts scalars or arrays; any negative x is a domain error.  At x = 0
-    the formula's limit is returned: 0 for shape > 1, 1/scale for shape = 1,
-    +inf for shape < 1.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0):
-        raise ValueError("x must be non-negative")
-    eta, gam = params.scale, params.shape
-    z = x_arr / eta
-    with np.errstate(divide="ignore"):
-        dens = (gam / eta) * z ** (gam - 1.0) * np.exp(-(z**gam))
-    return dens if x_arr.ndim else float(dens)
-
-
-def weibull_cdf(x, params: WeibullParams):
-    """Distribution function 1 - exp(-(x/scale)^shape) for x >= 0."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0):
-        raise ValueError("x must be non-negative")
-    cdf = -np.expm1(-((x_arr / params.scale) ** params.shape))
-    return cdf if x_arr.ndim else float(cdf)
-
-
-def weibull_quantile(p, params: WeibullParams):
-    """Inverse CDF: scale * (-log(1-p))^(1/shape), defined for p in [0, 1)."""
-    p_arr = _probabilities(p)
-    q = params.scale * (-np.log1p(-p_arr)) ** (1.0 / params.shape)
-    return q if p_arr.ndim else float(q)
-
-
 def weibull_quantile_rows(p, scales, shapes) -> np.ndarray:
-    """Row i of the 2-D array p through the quantile function of
-    (scales[i], shapes[i]); elementwise the same arithmetic as
-    weibull_quantile."""
+    """Row i of the 2-D array p, in [0, 1), through the quantile function
+    scale * (-log(1-p))^(1/shape) of (scales[i], shapes[i])."""
     p_arr = _probabilities(p)
     scales = np.asarray(scales, dtype=float)
     shapes = np.asarray(shapes, dtype=float)
@@ -85,19 +49,6 @@ def _probabilities(p) -> np.ndarray:
     if np.any(p_arr < 0) or np.any(p_arr >= 1):
         raise ValueError("p must lie in [0, 1)")
     return p_arr
-
-
-def weibull_mean(params: WeibullParams) -> float:
-    """scale * Gamma(1 + 1/shape)."""
-    return params.scale * math.gamma(1.0 + 1.0 / params.shape)
-
-
-def sample_weibull(n_samples: int, params: WeibullParams, seed: SeedSpec) -> np.ndarray:
-    """Draw n_samples i.i.d. values by inverse-CDF transform of the seeded stream."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    u = stream(seed).random(n_samples)
-    return weibull_quantile(u, params)
 
 
 # the largest double below 1, the top of a uniform draw's range

@@ -1,10 +1,16 @@
-"""Independent brute-force oracles shared by the sampler, feature-map,
-solver and acceptance tests."""
+"""Independent brute-force oracles and reference implementations shared by
+the sampler, quantile, feature-map, solver, Fisher-information and
+acceptance tests."""
+
+import math
 
 import numpy as np
 import scipy.optimize
 
+from twostage.crlb import FisherMatrix
+from twostage.rng import SeedSpec, stream
 from twostage.solvers import RegressionProblem, evaluate_max_quadratic
+from twostage.weibull import WeibullParams
 
 
 def minimax_oracle(problem: RegressionProblem, beta_hint: np.ndarray) -> float:
@@ -84,3 +90,76 @@ def all_quadratic_monomials(alphas: np.ndarray) -> np.ndarray:
     psi = np.hstack([alphas, alphas[:, : n - 1] / alphas[:, n - 1 :]])
     jj, kk = np.triu_indices(psi.shape[1])
     return np.hstack([np.ones((len(alphas), 1)), psi, psi[:, jj] * psi[:, kk]])
+
+
+def sample_quantile(y_sorted, p: float) -> float:
+    """Linear interpolation between adjacent order statistics.
+
+    With zero-based position pos = p*(N-1), returns
+    y[floor(pos)] + frac * (y[ceil(pos)] - y[floor(pos)]); p = 1 is the
+    maximum.  The input must already be sorted ascending with N >= 2.
+    The scalar reference for compression.QuantilePlan.
+    """
+    arr = np.asarray(y_sorted, dtype=float)
+    if arr.size < 2:
+        raise ValueError("y_sorted must have at least 2 entries")
+    if not 0 < p <= 1:
+        raise ValueError("p must lie in (0, 1]")
+    pos = p * (arr.size - 1)
+    lo = int(np.floor(pos))
+    hi = min(lo + 1, arr.size - 1)
+    frac = pos - lo
+    # two-sided lerp keeps accuracy at extreme fractions
+    if frac <= 0.5:
+        raw = arr[lo] + frac * (arr[hi] - arr[lo])
+    else:
+        raw = arr[hi] - (1.0 - frac) * (arr[hi] - arr[lo])
+    # the true quantile lies in [y[lo], y[hi]]; clamp away rounding overshoot
+    return float(min(max(raw, arr[lo]), arr[hi]))
+
+
+def weibull_quantile(p, params: WeibullParams):
+    """Inverse CDF: scale * (-log(1-p))^(1/shape), defined for p in [0, 1)."""
+    p_arr = np.asarray(p, dtype=float)
+    if np.any(p_arr < 0) or np.any(p_arr >= 1):
+        raise ValueError("p must lie in [0, 1)")
+    q = params.scale * (-np.log1p(-p_arr)) ** (1.0 / params.shape)
+    return q if p_arr.ndim else float(q)
+
+
+def sample_weibull(n_samples: int, params: WeibullParams, seed: SeedSpec) -> np.ndarray:
+    """Draw n_samples i.i.d. values by inverse-CDF transform of the seeded stream."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    u = stream(seed).random(n_samples)
+    return weibull_quantile(u, params)
+
+
+def weibull_score(x, params: WeibullParams) -> np.ndarray:
+    """Per-observation score vector(s) d(log f)/d(scale, shape), shape (..., 2)."""
+    x_arr = np.asarray(x, dtype=float)
+    if np.any(x_arr <= 0):
+        raise ValueError("x must be positive")
+    eta, gam = params.scale, params.shape
+    logz = gam * (np.log(x_arr) - math.log(eta))
+    z = np.exp(logz)
+    s_eta = (gam / eta) * (z - 1.0)
+    s_gam = (1.0 + (1.0 - z) * logz) / gam
+    return np.stack([s_eta, s_gam], axis=-1)
+
+
+def fisher_oracle(params: WeibullParams, n_draws: int, seed: SeedSpec) -> FisherMatrix:
+    """Monte-Carlo estimate of E[score score'] from n_draws observations, the
+    oracle for crlb.fisher_per_sample.
+
+    Observations are drawn by the inverse CDF on stratified uniforms (one
+    jittered point per stratum), which is unbiased for the same expectation
+    but collapses the variance of the cross moment: plain i.i.d. sampling
+    leaves that entry a ~1% coin flip even at 1e6 draws.
+    """
+    if n_draws < 10**5:
+        raise ValueError("n_draws must be at least 1e5 for a usable estimate")
+    u = (np.arange(n_draws) + stream(seed).random(n_draws)) / n_draws
+    x = weibull_quantile(np.maximum(u, 1e-300), params)
+    s = weibull_score(x, params)
+    return FisherMatrix(s.T @ s / n_draws)

@@ -22,20 +22,23 @@ from twostage import (
     crlb,
     emit_scatter,
     estimate,
-    fisher_oracle,
     fisher_per_sample,
     fit_bayes,
     generate_training_set,
     run_mse_experiment,
-    sample_weibull,
-    weibull_quantile,
 )
 from twostage import solvers
-from twostage.compression import FeatureKind, compress
+from twostage.compression import FeatureKind, order_statistics, sorted_quantiles
 from twostage.estimator import build_feature_matrix, fit_from_training_set, training_draws
 from twostage.rng import stream
 
-from oracles import minimax_oracle, random_small_problem
+from oracles import (
+    fisher_oracle,
+    minimax_oracle,
+    random_small_problem,
+    sample_weibull,
+    weibull_quantile,
+)
 
 PROTOCOL_SEED = SeedSpec(1)
 
@@ -252,9 +255,10 @@ def test_criterion_7_pipeline_invariants(bayes_uniform):
 
     # quantile consistency below the sample maximum
     params = WeibullParams(2.0, 2.0)
-    alpha = compress(sample_weibull(10**5, params, SeedSpec(888)), 10)
+    ys = order_statistics(sample_weibull(10**5, params, SeedSpec(888)))
+    alpha = sorted_quantiles(ys, 10)
     quant_ok = all(
-        abs(alpha.values[k - 1] - weibull_quantile(k / 10, params))
+        abs(alpha[k - 1] - weibull_quantile(k / 10, params))
         <= 0.02 * weibull_quantile(k / 10, params)
         for k in range(1, 10)
     )

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from click.testing import CliRunner
 from twostage.cli import main
 from twostage import estimator as est
 from twostage import experiment as exp
+from twostage.priors import PriorSpec
+from twostage.rng import SeedSpec
 
 
 @pytest.fixture
@@ -71,6 +74,113 @@ def test_rejects_flag_it_does_not_read(runner, command, flag, value):
     result = runner.invoke(main, [command, flag, value])
     assert result.exit_code == 2
     assert "No such option" in result.output and flag in result.output
+
+
+# a bad value of each checked config field, given by a flag where one exists,
+# and the message it fails with
+RIDGE = "ridge must be a finite non-negative real"
+BAD_VALUES = [
+    (["fit", "--m-theta", "0"], {}, "m_theta must be >= 1"),
+    (["fit"], {"training": {"m_y": 0}}, "m_y must be >= 1"),
+    (["fit", "--n-quantiles", "0"], {}, "n_quantiles must be >= 1"),
+    (["fit", "--ridge", "-1"], {}, RIDGE),
+    (["fit", "--ridge", "nan"], {}, RIDGE),
+    (["fit", "--ridge", "inf"], {}, RIDGE),
+    (["reproduce-table1", "--mc-runs", "0"], {}, "mc_runs must be >= 1"),
+    (["reproduce-table1"], {"eval_points": []}, "eval_points must be non-empty"),
+]
+
+
+@pytest.mark.parametrize("args, data, message", BAD_VALUES)
+def test_bad_value_exits_2(runner, tmp_path, args, data, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"output_dir": str(tmp_path / "results"), **data}))
+    result = runner.invoke(main, [*args, "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert f"invalid input: {message}" in result.output
+
+
+def tiny_training(cfg_path, **changes):
+    """The training config of a config file, with changes."""
+    data = json.loads(Path(cfg_path).read_text())
+    return replace(exp.config_from_dict(data).training, **changes)
+
+
+def fitted_fingerprint(runner, tmp_path, *args):
+    """The config fingerprint of the model that `fit` writes with args."""
+    out = tmp_path / "model.txt"
+    result = runner.invoke(main, ["fit", *args, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return est.load_model(out).config_fingerprint
+
+
+class TestFlagsReachConfig:
+    def test_n_obs(self, runner, tmp_path):
+        cfg = tiny_config_file(tmp_path)
+        expected = tiny_training(cfg, n_obs=200).fingerprint()
+        assert fitted_fingerprint(
+            runner, tmp_path, "--config", str(cfg), "--n-obs", "200"
+        ) == expected
+
+    def test_prior(self, runner, tmp_path):
+        cfg = tiny_config_file(tmp_path)
+        reciprocal = PriorSpec("reciprocal", 1.0, 20.0)
+        expected = tiny_training(cfg, theta_distribution=reciprocal).fingerprint()
+        assert fitted_fingerprint(
+            runner, tmp_path, "--config", str(cfg), "--prior", "reciprocal"
+        ) == expected
+
+    def test_mc_runs(self, runner, tmp_path):
+        cfg = tiny_config_file(tmp_path)
+        model_path = tmp_path / "model.txt"
+        runner.invoke(main, ["fit", "--config", str(cfg), "--out", str(model_path)])
+        report_path = tmp_path / "report.csv"
+        result = runner.invoke(
+            main,
+            ["evaluate", "--config", str(cfg), "--model", str(model_path),
+             "--mc-runs", "3", "--out", str(report_path)],
+        )
+        assert result.exit_code == 0, result.output
+        config = replace(exp.config_from_dict(json.loads(cfg.read_text())), mc_runs=3)
+        report = exp.run_mse_experiment(config, est.load_model(model_path))
+        expected = exp.write_risk_reports([report], tmp_path / "expected.csv")
+        assert report_path.read_text() == expected.read_text()
+
+
+class TestConfigAndFlags:
+    def test_flags_complete_a_partial_config(self, runner, tmp_path):
+        # the file alone fails n_quantiles < n_obs; with the flag it does not
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"training": {"n_obs": 8, "m_theta": 5}}))
+        expected = est.TrainingConfig(n_obs=8, m_theta=5, n_quantiles=3).fingerprint()
+        assert fitted_fingerprint(
+            runner, tmp_path, "--config", str(cfg), "--n-quantiles", "3"
+        ) == expected
+
+    @pytest.mark.parametrize(
+        "nested, value",
+        [
+            ({"theta_distribution": {"kind": "reciprocal"}},
+             {"theta_distribution": PriorSpec("reciprocal", 1.0, 20.0)}),
+            ({"seed": {"stream_index": 1}}, {"seed": SeedSpec(0, 1)}),
+        ],
+    )
+    def test_partial_nested_object_takes_defaults(self, runner, tmp_path, nested, value):
+        cfg = tmp_path / "config.json"
+        sizes = {"m_theta": 10, "n_obs": 120, "n_quantiles": 4}
+        cfg.write_text(json.dumps({"training": {**sizes, **nested}}))
+        expected = est.TrainingConfig(**sizes, **value).fingerprint()
+        assert fitted_fingerprint(runner, tmp_path, "--config", str(cfg)) == expected
+
+    def test_seed_flag_keeps_stream_index(self, runner, tmp_path):
+        cfg = tiny_config_file(tmp_path)
+        data = json.loads(cfg.read_text())
+        data["training"]["seed"]["stream_index"] = 3
+        cfg.write_text(json.dumps(data))
+        expected = tiny_training(cfg, seed=SeedSpec(99, 3)).fingerprint()
+        assert fitted_fingerprint(
+            runner, tmp_path, "--config", str(cfg), "--seed", "99"
+        ) == expected
 
 
 class TestFit:
@@ -260,6 +370,19 @@ class TestReproduceTable:
         parsed = exp.read_risk_reports(out_dir / "table1.csv")
         assert sum(len(r.rows) for r in parsed) == 6
         assert (out_dir / "scatter_minimax.csv").exists()
+        assert result.output.startswith((out_dir / "table1.csv").read_text())
+
+    def test_does_not_echo_a_table_it_did_not_write(self, runner, tmp_path):
+        out_dir = tmp_path / "results"
+        out_dir.mkdir()
+        (out_dir / "table1.csv").write_text("STALE TABLE FROM AN EARLIER RUN\n")
+        cfg = tiny_config_file(tmp_path, emit=["model"])
+        result = runner.invoke(
+            main, ["reproduce-table1", "--config", str(cfg), "--out", str(out_dir)]
+        )
+        assert result.exit_code == 0, result.output
+        assert "STALE" not in result.output
+        assert result.output.startswith("3 rows evaluated")
 
 
 class TestScatter:

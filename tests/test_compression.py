@@ -5,25 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twostage import (
-    CompressedVector,
-    DegenerateInputError,
-    SeedSpec,
-    WeibullParams,
-    compress,
-    order_statistics,
-    sample_quantile,
-    sample_weibull,
-    weibull_quantile,
-)
+from twostage import DegenerateInputError, SeedSpec, WeibullParams, order_statistics
 from twostage.compression import (
     scale_feature_len,
     scale_features,
     shape_feature_len,
     shape_features,
+    sorted_quantiles,
+    validate_quantiles,
 )
 
-from oracles import all_quadratic_monomials
+from oracles import all_quadratic_monomials, sample_quantile, sample_weibull, weibull_quantile
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -91,14 +83,22 @@ class TestSampleQuantile:
         assert ours == pytest.approx(ref, rel=1e-12, abs=1e-12 * scale)
 
 
+def compress(y, n: int) -> np.ndarray:
+    """The n quantiles of y, as estimate computes them."""
+    return sorted_quantiles(order_statistics(y), n)
+
+
 class TestCompress:
     def test_constant_vector(self):
         out = compress([7.0] * 12, 4)
-        np.testing.assert_array_equal(out.values, [7.0] * 4)
+        np.testing.assert_array_equal(out, [7.0] * 4)
 
     def test_rejects_too_small_sample(self):
+        # no quantile of one observation, and none at all for n = 0
         with pytest.raises(ValueError):
-            compress([1.0, 2.0, 3.0], 3)
+            compress([1.0], 1)
+        with pytest.raises(ValueError):
+            compress([1.0, 2.0, 3.0], 0)
 
     @given(data_vectors, st.integers(min_value=1, max_value=5), st.randoms())
     @settings(max_examples=80, deadline=None)
@@ -108,7 +108,7 @@ class TestCompress:
         shuffled = list(values)
         rnd.shuffle(shuffled)
         np.testing.assert_array_equal(
-            compress(shuffled, n).values, compress(values, n).values
+            compress(shuffled, n), compress(values, n)
         )
 
     @given(data_vectors, st.integers(min_value=1, max_value=12))
@@ -119,14 +119,14 @@ class TestCompress:
             values = values + [3.0] * (n + 1 - len(values))
         ys = order_statistics(values)
         expected = [sample_quantile(ys, k / n) for k in range(1, n + 1)]
-        np.testing.assert_array_equal(compress(values, n).values, expected)
+        np.testing.assert_array_equal(compress(values, n), expected)
 
     @given(data_vectors, st.integers(min_value=1, max_value=5))
     @settings(max_examples=80, deadline=None)
     def test_output_non_decreasing(self, values, n):
         if len(values) <= n:
             values = values + [1.0] * (n + 1 - len(values))
-        out = compress(values, n).values
+        out = compress(values, n)
         assert np.all(np.diff(out) >= 0)
 
     @given(
@@ -141,8 +141,8 @@ class TestCompress:
             values = values + [2.0] * (n + 1 - len(values))
         c = 2.0**k
         np.testing.assert_array_equal(
-            compress([c * v for v in values], n).values,
-            c * compress(values, n).values,
+            compress([c * v for v in values], n),
+            c * compress(values, n),
         )
 
     def test_scale_equivariant_generic(self):
@@ -150,14 +150,14 @@ class TestCompress:
         y = rng.gamma(2.0, 3.0, size=500)
         for c in (0.37, 2.9, 113.0):
             np.testing.assert_allclose(
-                compress(c * y, 10).values, c * compress(y, 10).values, rtol=1e-12
+                compress(c * y, 10), c * compress(y, 10), rtol=1e-12
             )
 
     def test_consistency_at_analytic_quantile(self):
         params = WeibullParams(2.0, 2.0)
         y = sample_weibull(10**6, params, SeedSpec(31))
         alpha = compress(y, 10)
-        assert alpha.values[4] == pytest.approx(
+        assert alpha[4] == pytest.approx(
             weibull_quantile(0.5, params), rel=0.01
         )
 
@@ -167,19 +167,19 @@ class TestCompress:
         y = sample_weibull(10**5, params, SeedSpec(32))
         alpha = compress(y, 10)
         for k in range(1, 10):
-            assert alpha.values[k - 1] == pytest.approx(
+            assert alpha[k - 1] == pytest.approx(
                 weibull_quantile(k / 10, params), rel=0.02
             )
 
 
-class TestCompressedVector:
+class TestValidateQuantiles:
     def test_rejects_decreasing(self):
         with pytest.raises(ValueError):
-            CompressedVector(np.array([2.0, 1.0]))
+            validate_quantiles(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            CompressedVector(np.array([1.0, np.inf]))
+            validate_quantiles(np.array([[1.0, np.inf]]))
 
 
 def one_row(feature_map, values):
@@ -218,9 +218,9 @@ class TestFeatureScale:
         rng = np.random.default_rng(9)
         y = rng.weibull(2.0, size=300) * 2.0
         n = 5
-        base = one_row(scale_features, compress(y, n).values)[n:]
+        base = one_row(scale_features, compress(y, n))[n:]
         for c in (0.01, 3.7, 250.0):
-            scaled = one_row(scale_features, compress(c * y, n).values)[n:]
+            scaled = one_row(scale_features, compress(c * y, n))[n:]
             np.testing.assert_allclose(scaled, base, rtol=1e-12)
 
 

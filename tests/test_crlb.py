@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from twostage import SeedSpec, WeibullParams, crlb, fisher_oracle, fisher_per_sample
-from twostage.crlb import EULER_GAMMA, weibull_score
+from twostage import SeedSpec, WeibullParams, crlb, fisher_per_sample
+from twostage.crlb import EULER_GAMMA
+
+from oracles import fisher_oracle, sample_weibull, weibull_score
 
 # published benchmark grid: (scale, shape) -> (bound_scale, bound_shape) at N = 10000
 TABLE_BOUNDS = {
@@ -76,8 +78,6 @@ class TestCrlb:
 
 class TestScore:
     def test_mean_score_vanishes(self):
-        from twostage import sample_weibull
-
         params = WeibullParams(2.0, 2.0)
         x = sample_weibull(10**6, params, SeedSpec(41))
         s = weibull_score(x, params)

@@ -22,15 +22,15 @@ from twostage import (
     generate_training_set,
     load_model,
     save_model,
-    weibull_quantile,
 )
 from twostage import solvers
 from twostage.compression import (
     FeatureKind,
-    compress,
+    order_statistics,
     quantile_plan,
     scale_feature_len,
     shape_feature_len,
+    sorted_quantiles,
 )
 from twostage.estimator import (
     THETA_STREAM,
@@ -43,6 +43,8 @@ from twostage.estimator import (
 from twostage.experiment import ExperimentConfig, evaluation_draws, scatter_draws
 from twostage.rng import stream
 from twostage.weibull import sample_uniform_order_statistics
+
+from oracles import weibull_quantile
 
 SMALL = TrainingConfig(
     m_theta=25,
@@ -89,8 +91,8 @@ class TestGenerateTrainingSet:
             stream(cfg.seed, TRAIN_DATA_STREAM, 0), cfg.n_obs, ranks, 1
         )[0]
         dataset = np.interp(np.arange(cfg.n_obs), ranks, weibull_quantile(u, params))
-        expected = compress(dataset, cfg.n_quantiles)
-        np.testing.assert_array_equal(ts.alphas[0], expected.values)
+        expected = sorted_quantiles(order_statistics(dataset), cfg.n_quantiles)
+        np.testing.assert_array_equal(ts.alphas[0], expected)
         assert ts.parent_index.tolist() == [0]
 
     def test_theta_draws_use_configured_distribution(self):
@@ -271,7 +273,7 @@ class TestEstimate:
         )
         y = np.linspace(1.0, 2.0, 50)
         eta_hat, gamma_hat = estimate(model, y)
-        assert eta_hat == compress(y, n).values[0]
+        assert eta_hat == sorted_quantiles(order_statistics(y), n)[0]
         assert gamma_hat == 0.0
 
     def test_rejects_rows_of_another_quantile_count(self):

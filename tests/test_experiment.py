@@ -24,7 +24,9 @@ from twostage import estimator as est
 from twostage import experiment as exp
 from twostage.compression import quantile_plan
 from twostage.rng import stream
-from twostage.weibull import sample_uniform_order_statistics, weibull_quantile
+from twostage.weibull import sample_uniform_order_statistics
+
+from oracles import weibull_quantile
 
 TINY_TRAIN = TrainingConfig(
     m_theta=12,

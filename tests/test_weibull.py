@@ -1,4 +1,5 @@
-"""Weibull density, quantile function, and seeded sampling."""
+"""Weibull parameters, the row-wise quantile function, the uniform order
+statistics draw, and the test-data sampler."""
 
 import math
 
@@ -6,23 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 from scipy.stats import chi2
 
-from twostage import (
-    SeedSpec,
-    WeibullParams,
-    sample_weibull,
-    weibull_cdf,
-    weibull_mean,
-    weibull_pdf,
-    weibull_quantile,
-)
+from twostage import SeedSpec, WeibullParams
 from twostage.compression import quantile_plan
 from twostage.rng import stream
-from twostage.weibull import sample_uniform_order_statistics
+from twostage.weibull import sample_uniform_order_statistics, weibull_quantile_rows
 
-from oracles import sorted_uniform_order_statistics
+from oracles import sample_weibull, sorted_uniform_order_statistics, weibull_quantile
 
 PARAM_GRID = [
     WeibullParams(1.0, 1.0),
@@ -41,77 +33,59 @@ class TestParams:
             WeibullParams(scale, shape)
 
 
-class TestPdf:
-    @pytest.mark.parametrize("params", PARAM_GRID)
-    def test_at_scale_collapses(self, params):
-        # (x/scale) = 1 kills both powers
-        expected = params.shape / params.scale * math.exp(-1.0)
-        assert weibull_pdf(params.scale, params) == pytest.approx(expected, rel=1e-14)
+def quantile(p, params: WeibullParams):
+    """weibull_quantile_rows of p as a single row of params."""
+    p = np.asarray(p, dtype=float)
+    q = weibull_quantile_rows(p.reshape(1, -1), [params.scale], [params.shape])
+    return q.reshape(p.shape)
 
-    def test_at_zero_follows_shape(self):
-        assert weibull_pdf(0.0, WeibullParams(3.0, 2.5)) == 0.0
-        assert weibull_pdf(0.0, WeibullParams(3.0, 1.0)) == pytest.approx(1 / 3.0)
-        assert weibull_pdf(0.0, WeibullParams(3.0, 0.5)) == math.inf
 
-    def test_unit_exponential_point(self):
-        assert weibull_pdf(1.0, WeibullParams(1.0, 1.0)) == pytest.approx(
-            math.exp(-1.0), rel=1e-12
-        )
-
-    def test_negative_x_rejected(self):
-        with pytest.raises(ValueError):
-            weibull_pdf(-0.1, WeibullParams(1.0, 1.0))
-        with pytest.raises(ValueError):
-            weibull_pdf(np.array([0.5, -2.0]), WeibullParams(1.0, 1.0))
-
-    @pytest.mark.parametrize("params", PARAM_GRID)
-    def test_integrates_to_one(self, params):
-        hi = weibull_quantile(1.0 - 1e-8, params)
-        total, _ = quad(lambda x: weibull_pdf(x, params), 0.0, hi, limit=200)
-        assert total == pytest.approx(1.0, abs=1e-6)
+def cdf(x, params: WeibullParams):
+    """1 - exp(-(x/scale)^shape), the inverse of the quantile function."""
+    return -np.expm1(-((np.asarray(x) / params.scale) ** params.shape))
 
 
 class TestQuantile:
     def test_zero_maps_to_zero(self):
-        assert weibull_quantile(0.0, WeibullParams(5.0, 3.0)) == 0.0
+        assert quantile(0.0, WeibullParams(5.0, 3.0)) == 0.0
 
     @pytest.mark.parametrize("params", PARAM_GRID)
     def test_unit_mass_point_maps_to_scale(self, params):
-        assert weibull_quantile(1.0 - math.exp(-1.0), params) == pytest.approx(
+        assert quantile(1.0 - math.exp(-1.0), params) == pytest.approx(
             params.scale, rel=1e-14
         )
 
     def test_median_two_two(self):
         # scale * (ln 2)^(1/2)
-        assert weibull_quantile(0.5, WeibullParams(2.0, 2.0)) == pytest.approx(
+        assert quantile(0.5, WeibullParams(2.0, 2.0)) == pytest.approx(
             2.0 * math.sqrt(math.log(2.0)), rel=1e-15
         )
 
     def test_median_matches_empirical(self):
-        y = sample_weibull(10**6, WeibullParams(2.0, 2.0), SeedSpec(11))
+        y = quantile(stream(SeedSpec(11)).random(10**6), WeibullParams(2.0, 2.0))
         assert np.median(y) == pytest.approx(1.6651092223153954, rel=5e-3)
 
     @pytest.mark.parametrize("p", [-0.01, 1.0, 1.5])
     def test_domain_errors(self, p):
         with pytest.raises(ValueError):
-            weibull_quantile(p, WeibullParams(1.0, 1.0))
+            quantile(p, WeibullParams(1.0, 1.0))
 
     @pytest.mark.parametrize("params", PARAM_GRID)
     def test_cdf_round_trip(self, params):
         # keep the grid below where the CDF saturates to 1.0 in float64
-        hi = weibull_quantile(1.0 - 1e-6, params)
+        hi = quantile(1.0 - 1e-6, params)
         x = np.geomspace(1e-3 * params.scale, hi, 40)
-        back = weibull_quantile(weibull_cdf(x, params), params)
+        back = quantile(cdf(x, params), params)
         np.testing.assert_allclose(back, x, rtol=1e-10)
 
     def test_ratio_invariant_in_scale(self):
         # quantile ratios depend only on the shape
         for gamma in (0.8, 2.0, 9.0):
             p, q = 0.31, 0.77
-            r1 = weibull_quantile(p, WeibullParams(1.3, gamma)) / weibull_quantile(
+            r1 = quantile(p, WeibullParams(1.3, gamma)) / quantile(
                 q, WeibullParams(1.3, gamma)
             )
-            r2 = weibull_quantile(p, WeibullParams(17.0, gamma)) / weibull_quantile(
+            r2 = quantile(p, WeibullParams(17.0, gamma)) / quantile(
                 q, WeibullParams(17.0, gamma)
             )
             assert r1 == pytest.approx(r2, rel=1e-12)
@@ -124,7 +98,7 @@ class TestQuantile:
     def test_monotone_in_p(self, p, q):
         params = WeibullParams(2.0, 3.0)
         lo, hi = sorted((p, q))
-        assert weibull_quantile(lo, params) <= weibull_quantile(hi, params)
+        assert quantile(lo, params) <= quantile(hi, params)
 
 
 class TestSampling:
@@ -145,9 +119,7 @@ class TestSampling:
 
     def test_mean_matches_gamma_function(self):
         y = sample_weibull(10**6, WeibullParams(2.0, 2.0), SeedSpec(21))
-        assert weibull_mean(WeibullParams(2.0, 2.0)) == pytest.approx(
-            2.0 * math.gamma(1.5)
-        )
+        # scale * Gamma(1 + 1/shape)
         assert y.mean() == pytest.approx(2.0 * math.gamma(1.5), rel=0.01)
 
     def test_rejects_zero_draws(self):
