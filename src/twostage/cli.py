@@ -6,12 +6,14 @@ config field names).  Flags are merged into its data before the config is
 built once, so a flag overrides one value and a field that neither names
 takes its default; each subcommand accepts only the flags it reads.
 Exit codes: 0 success, 2 invalid configuration, model file or data,
-3 solver failure, 4 I/O failure.
+3 solver failure or an estimate that is not finite and positive,
+4 I/O failure.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -162,6 +164,12 @@ def estimate_command(model_path, data_path):
         model = est.load_model(model_path)
         y = [float(tok) for tok in Path(data_path).read_text().split()]
         eta_hat, gamma_hat = est.estimate(model, y)
+        for name, value in (("est_eta", eta_hat), ("est_gamma", gamma_hat)):
+            if not (math.isfinite(value) and value > 0):
+                # the linear readout can leave the Weibull parameter space
+                click.echo(f"estimate out of range: {name} = {value:.17g} is not "
+                           "finite and positive", err=True)
+                sys.exit(3)
         click.echo("est_eta,est_gamma")
         click.echo(f"{eta_hat:.17g},{gamma_hat:.17g}")
 

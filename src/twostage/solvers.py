@@ -22,7 +22,7 @@ interior-point dual weights does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,11 +85,19 @@ class RegressionProblem:
 @dataclass(frozen=True)
 class Coefficients:
     """A fitted coefficient vector with its achieved objective value and a
-    guaranteed suboptimality gap (0 for exact solves)."""
+    guaranteed suboptimality gap (0 for exact solves).
+
+    ``trace`` is what fit_minimax did, as plain data: ``gaps`` maps each
+    phase that ran, in order, to the gap after it; ``closed_by`` names the
+    phase that met the tolerance (None if none did); and it counts
+    ``ipm_iterations``, ``cholesky_retries``, ``exchange_steps`` and
+    ``kkt_inversions``.  Not compared, and not saved with a model.
+    """
 
     beta: np.ndarray
     objective: float
     certificate: float
+    trace: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
@@ -211,8 +219,9 @@ def _ipm_epigraph(phi, t, pdiag, beta0, f_scale, max_iter=80):
 
     x = (b, tau) with P = diag(pdiag); Mehrotra predictor-corrector on the
     KKT system, reduced to one dense (m+1) x (m+1) solve per direction.
-    Returns (x, z) with z >= 0 the multipliers of the 2M constraint rows
-    (lower block -r_i <= tau first, then r_i <= tau).
+    Returns (x, z, iterations, shift retries) with z >= 0 the multipliers of
+    the 2M constraint rows, r_i = t_i - phi_i.b: the block r_i <= tau (side
+    +1) first, then -r_i <= tau (side -1), as h = [-t, t] orders them.
     """
     M, m = phi.shape
     x = np.empty(m + 1)
@@ -241,6 +250,7 @@ def _ipm_epigraph(phi, t, pdiag, beta0, f_scale, max_iter=80):
     # costs one retry per iteration, not a climb from delta0
     delta0 = 1e-12 * (1.0 + float(np.max(pdiag)))
     delta_ok = delta0
+    iterations = retries = 0
     for _ in range(max_iter):
         rp = g_apply(x) + s - h
         mu = float(s @ z) / (2 * M)
@@ -266,6 +276,7 @@ def _ipm_epigraph(phi, t, pdiag, beta0, f_scale, max_iter=80):
                 solve = _cholesky_solver(Hfull + delta * np.eye(m + 1))
                 break
             except np.linalg.LinAlgError:
+                retries += 1
                 delta *= 100.0
                 if delta > 1e6 * (1.0 + float(np.max(np.abs(Hfull)))):
                     raise
@@ -294,7 +305,8 @@ def _ipm_epigraph(phi, t, pdiag, beta0, f_scale, max_iter=80):
         x = x + alpha_p * dx
         s = s + alpha_p * ds
         z = z + alpha_d * dz
-    return x, z
+        iterations += 1
+    return x, z, iterations, retries
 
 
 def _max_step(v, dv):
@@ -340,21 +352,25 @@ def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> C
     col[col == 0.0] = 1.0
     phi_s = phi / col
     pdiag = np.concatenate([2.0 * lam / (col * col), [2.0]])
-    x, z = _ipm_epigraph(phi_s, t, pdiag, beta_warm * col, max(f_warm, 1e-10))
+    x, z, iterations, retries = _ipm_epigraph(
+        phi_s, t, pdiag, beta_warm * col, max(f_warm, 1e-10)
+    )
 
     beta_ipm = x[:m] / col
     f_ipm, _ = evaluate_max_quadratic(beta_ipm, problem)
     if f_ipm < best_f:
         best_beta, best_f = beta_ipm, f_ipm
 
-    bounds = ["the interior point"]
+    gaps = {"interior point": best_f - best_lb}
+    trace = dict(gaps=gaps, ipm_iterations=iterations, cholesky_retries=retries,
+                 exchange_steps=0, kkt_inversions=0)
     if lam > 0.0 and best_f - best_lb > tolerance:
-        bounds.append("the active-set exchange")
-        best_beta, best_f, best_lb = _active_set_refine(
+        best_beta, best_f, best_lb, steps, inversions = _active_set_refine(
             problem, best_beta, best_f, best_lb, tolerance
         )
+        trace.update(exchange_steps=steps, kkt_inversions=inversions)
+        gaps["active-set exchange"] = best_f - best_lb
     if best_f - best_lb > tolerance:
-        bounds.append("the weighted bound L(u)")
         u = z[:M] + z[M:]
         total = float(np.sum(u))
         u = u / total if total > 0 else np.full(M, 1.0 / M)
@@ -363,10 +379,13 @@ def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> C
         f_u, _ = evaluate_max_quadratic(beta_u, problem)
         if f_u < best_f:
             best_beta, best_f = beta_u, f_u
+        gaps["weighted bound L(u)"] = best_f - best_lb
 
     certificate = max(best_f - best_lb, 0.0)
-    coeff = Coefficients(beta=best_beta, objective=best_f, certificate=certificate)
+    trace["closed_by"] = list(gaps)[-1] if certificate <= tolerance else None
+    coeff = Coefficients(best_beta, best_f, certificate, trace)
     if certificate > tolerance:
+        bounds = [f"the {phase}" for phase in gaps]
         raise SolverBudgetError(
             f"certified gap {certificate:.3e} above tolerance {tolerance:.3e} "
             f"after {', '.join(bounds[:-1])} and {bounds[-1]}",
@@ -406,15 +425,16 @@ def _active_set_refine(
     For a working set of rows with residual signs s_k the KKT conditions of
     the epigraph program are one square linear system in (beta, tau, z):
 
-        phi_k . beta + s_k tau = t_k      (active rows)
         2 ridge beta = sum_k z_k s_k phi_k
         2 tau = sum_k z_k
+        phi_k . beta + s_k tau = t_k      (active rows)
 
-    solved after row/column equilibration with extended-precision iterative
-    refinement.  Negative multipliers leave the set, violated rows enter,
-    and every iterate's clipped multipliers give a valid dual bound.
+    solved by _WorkingSetKKT.  Negative multipliers leave the set, violated
+    rows enter, and every iterate's clipped multipliers give a valid dual
+    bound.  Returns the best iterate, its objective, the best bound, the
+    steps taken and the full inversions made.
     """
-    phi, t, lam = problem.features, problem.targets, problem.ridge
+    phi, t = problem.features, problem.targets
     M, m = phi.shape
     best_beta = beta_start
 
@@ -424,52 +444,36 @@ def _active_set_refine(
     rows = np.flatnonzero(np.abs(r) >= tau * (1.0 - 1e-4))
     if rows.size > m + 1:
         rows = rows[np.argsort(np.abs(r[rows]))[-(m + 1) :]]
-    sides = np.where(r[rows] >= 0, 1.0, -1.0)
-    z_k = np.zeros(rows.size)
+    kkt = _WorkingSetKKT(problem, rows, np.where(r[rows] >= 0, 1.0, -1.0))
 
-    for _ in range(3 * (m + 1) + 120):  # exchange budget
-        if rows.size == 0:
+    for steps in range(1, 3 * (m + 1) + 121):  # exchange budget
+        if kkt.rows.size == 0:
             rr = t - phi @ best_beta
-            rows = np.array([int(np.argmax(np.abs(rr)))])
-            sides = np.where(rr[rows] >= 0, 1.0, -1.0)
-        k = rows.size
-        nv = m + 1 + k
-        K = np.zeros((nv, nv))
-        K[:k, :m] = phi[rows]
-        K[:k, m] = sides
-        K[k : k + m, :m] = 2.0 * lam * np.eye(m)
-        K[k : k + m, m + 1 :] = -(sides[None, :] * phi[rows].T)
-        K[k + m, m] = 2.0
-        K[k + m, m + 1 :] = -1.0
-        rhs = np.zeros(nv)
-        rhs[:k] = t[rows]
+            j = int(np.argmax(np.abs(rr)))
+            kkt.add(j, 1.0 if rr[j] >= 0 else -1.0)
+        rows, k = kkt.rows, kkt.rows.size
 
-        sol = _solve_equilibrated(K, rhs)
-        if sol is None or not np.all(np.isfinite(sol)):
+        sol = kkt.solve()
+        if sol is None:
             if k <= 1:
                 break
             # degenerate working set: shed the weakest row and retry
             rr = t - phi @ best_beta
-            keep = np.ones(k, dtype=bool)
-            keep[int(np.argmin(np.abs(rr[rows])))] = False
-            rows, sides = rows[keep], sides[keep]
+            kkt.drop(int(np.argmin(np.abs(rr[rows]))))
             continue
-        beta_k, tau_k, z_k = sol[:m], sol[m], sol[m + 1 :]
+        beta_k, tau_k, z_k = sol
 
         f_k, _ = evaluate_max_quadratic(beta_k, problem)
         if f_k < best_f:
             best_beta, best_f = beta_k, f_k
-        lb = _epigraph_dual_value(problem, rows, sides, np.maximum(z_k, 0.0))
+        lb = _epigraph_dual_value(problem, rows, kkt.sides, np.maximum(z_k, 0.0))
         if lb > best_lb:
             best_lb = lb
         if best_f - best_lb <= tolerance:
             break
 
-        z_max = float(np.max(z_k)) if k else 0.0
-        if k and float(np.min(z_k)) < -1e-12 * max(z_max, 1e-30):
-            keep = np.ones(k, dtype=bool)
-            keep[int(np.argmin(z_k))] = False
-            rows, sides = rows[keep], sides[keep]
+        if float(np.min(z_k)) < -1e-12 * max(float(np.max(z_k)), 1e-30):
+            kkt.drop(int(np.argmin(z_k)))
             continue
 
         rr = t - phi @ beta_k
@@ -480,47 +484,124 @@ def _active_set_refine(
         if viol[j] > 1e-10 * (1.0 + abs(tau_k)):
             if k >= m + 1:
                 # full vertex: swap out the weakest multiplier
-                keep = np.ones(k, dtype=bool)
-                keep[int(np.argmin(z_k))] = False
-                rows, sides = rows[keep], sides[keep]
-            rows = np.append(rows, j)
-            sides = np.append(sides, 1.0 if rr[j] >= 0 else -1.0)
+                kkt.drop(int(np.argmin(z_k)))
+            kkt.add(j, 1.0 if rr[j] >= 0 else -1.0)
             continue
         break  # clean KKT point; nothing further to exchange
-    return best_beta, best_f, best_lb
+    return best_beta, best_f, best_lb, steps, kkt.inversions
 
 
-def _solve_equilibrated(K: np.ndarray, rhs: np.ndarray):
-    """Solve K x = rhs after inf-norm row/column equilibration, polishing
-    with extended-precision iterative refinement.  None if the solve fails."""
-    keq = K.copy()
-    n = K.shape[0]
-    row_scale = np.ones(n)
-    col_scale = np.ones(n)
-    for _ in range(2):
-        rmax = np.max(np.abs(keq), axis=1)
-        rmax[rmax == 0.0] = 1.0
-        keq /= rmax[:, None]
-        row_scale *= rmax
-        cmax = np.max(np.abs(keq), axis=0)
-        cmax[cmax == 0.0] = 1.0
-        keq /= cmax[None, :]
-        col_scale *= cmax
-    try:
-        # formed once, applied once per refinement step
-        kinv = np.linalg.inv(keq)
-    except np.linalg.LinAlgError:
-        # exact singularity is expected for degenerate working sets and
-        # handled by the caller
-        return None
-    rhs_eq = rhs / row_scale
-    sol = kinv @ rhs_eq
-    if not np.all(np.isfinite(sol)):
-        return None
-    keq_ld = keq.astype(np.longdouble)
-    rhs_ld = rhs_eq.astype(np.longdouble)
-    sol_ld = sol.astype(np.longdouble)
-    for _ in range(5):
-        res = rhs_ld - keq_ld @ sol_ld
-        sol_ld = sol_ld + kinv @ res.astype(float)
-    return sol_ld.astype(float) / col_scale
+class _WorkingSetKKT:
+    """The KKT system of an exchange working set, keeping the inverse of
+    its equilibrated matrix across one-row changes of the set.
+
+    Equations [stationarity (m), tau, rows (k)] by variables [beta (m), tau,
+    z (k)], active row j multiplied by its side s_j, so each row is one
+    trailing row and column pair: adding one borders the inverse, dropping
+    one deletes from it, each O(n^2).  Scales are fixed per problem, by two
+    max-abs passes with every row active.  The inverse is formed afresh only
+    for the first solve, after a negligible bordering pivot, or when
+    refinement fails to halve the residual; a singular one solves to None.
+    """
+
+    def __init__(self, problem: RegressionProblem, rows, sides):
+        self.phi, self.t = problem.features, problem.targets
+        M, self.m = self.phi.shape
+        self._h = np.append(np.full(self.m, 2.0 * problem.ridge), 2.0)
+        self.rows = np.asarray(rows, dtype=int)
+        self.sides = np.asarray(sides, dtype=float)
+        self.inversions, self._binv = 0, None
+        # two max-abs passes over the system with every row j active; its
+        # entries are 2 ridge, 2, |phi_j| and 1
+        a, lam2 = np.abs(self.phi), 2.0 * problem.ridge
+        c_beta, c_tau, c_z = np.ones(self.m), 1.0, np.ones(M)
+        for _ in range(2):
+            r_stat = np.maximum(lam2 / c_beta, np.max(a / c_z[:, None], axis=0))
+            r_tau = max(2.0 / c_tau, float(np.max(1.0 / c_z)))
+            r_row = np.maximum(np.max(a / c_beta, axis=1), 1.0 / c_tau)
+            c_beta = np.maximum(lam2 / r_stat, np.max(a / r_row[:, None], axis=0))
+            c_tau = max(2.0 / r_tau, float(np.max(1.0 / r_row)))
+            c_z = np.maximum(np.max(a / r_stat, axis=1), 1.0 / r_tau)
+        self._r_head, self._r_row = np.append(r_stat, r_tau), r_row
+        self._c_head, self._c_z = np.append(c_beta, c_tau), c_z
+
+    def add(self, row: int, side: float):
+        """Append constraint row ``row`` with residual sign ``side``."""
+        if self._binv is not None:
+            b, head = self._binv, self.m + 1
+            g = np.append(side * self.phi[row], 1.0)
+            u = -g / (self._r_head * self._c_z[row])  # new column, head equations
+            v = g / (self._c_head * self._r_row[row])  # new row, head variables
+            bu, vb = b[:, :head] @ u, v @ b[:head]
+            pivot = -float(v @ bu[:head])
+            self._binv = None
+            # negligible if bordering would grow the inverse by over 1e8
+            if abs(pivot) > 1e-8 * float(np.max(np.abs(v)) * np.max(np.abs(bu))):
+                n = b.shape[0]
+                self._binv = grown = np.empty((n + 1, n + 1))
+                np.outer(bu / pivot, vb, out=grown[:n, :n])
+                grown[:n, :n] += b
+                grown[:n, n], grown[n, :n], grown[n, n] = -bu / pivot, -vb / pivot, 1.0 / pivot
+        self.rows = np.append(self.rows, row)
+        self.sides = np.append(self.sides, side)
+
+    def drop(self, position: int):
+        """Remove the working-set row at ``position``."""
+        if self._binv is not None:
+            b, i = self._binv, self.m + 1 + position
+            keep = np.arange(b.shape[0]) != i
+            self._binv = b[np.ix_(keep, keep)]
+            self._binv -= np.outer(b[keep, i] / b[i, i], b[i, keep])
+        self.rows = np.delete(self.rows, position)
+        self.sides = np.delete(self.sides, position)
+
+    def solve(self):
+        """(beta, tau, z) of the working set, or None if it is singular."""
+        # the kept inverse if there is one, a fresh one if that fails
+        for fresh in (self._binv is None, True):
+            if fresh:
+                g, r, c = self._blocks()
+                K = np.block([[np.diag(self._h), -g.T], [g, np.zeros((len(g), len(g)))]])
+                self.inversions += 1
+                try:
+                    self._binv = np.linalg.inv(K / r[:, None] / c)
+                except np.linalg.LinAlgError:
+                    self._binv = None  # exact singularity: a degenerate working set
+                    return None
+            x, reduced = self._refined()
+            if reduced or fresh:
+                break
+        if not np.all(np.isfinite(x)):
+            return None
+        return x[: self.m], float(x[self.m]), x[self.m + 1 :]
+
+    def _blocks(self):
+        """The active rows [s_j phi_j, 1] and the current row and column scales."""
+        g = np.column_stack([self.sides[:, None] * self.phi[self.rows], np.ones(self.rows.size)])
+        r = np.append(self._r_head, self._r_row[self.rows])
+        return g, r, np.append(self._c_head, self._c_z[self.rows])
+
+    def _refined(self):
+        """Solve from zero, refining with an extended-precision residual
+        while each correction at least halves; also returns whether the
+        residual after the first correction was at least halved since."""
+        g, r, c = self._blocks()
+        g, rhs = g.astype(np.longdouble), (self.sides * self.t[self.rows]).astype(np.longdouble)
+        head = self.m + 1
+
+        def residual(x):  # rhs - K x by blocks, equilibrated
+            z = x[head:]
+            res = np.concatenate([np.dot(z, g) - self._h * x[:head], rhs - np.dot(g, x[:head])])
+            return (res / r).astype(float)
+
+        x = np.zeros(r.size, dtype=np.longdouble)
+        res, step, norms = np.append(np.zeros(head), rhs / r[head:]).astype(float), np.inf, []
+        while True:
+            dy = self._binv @ res
+            size = float(np.max(np.abs(dy)))
+            if not size < 0.5 * step:
+                break
+            x += dy / c
+            step, res = size, residual(x)
+            norms.append(float(np.max(np.abs(res))))
+        return x.astype(float), bool(norms) and norms[-1] <= 0.5 * norms[0]

@@ -413,6 +413,11 @@ class TestEstimate:
 
     def test_prints_estimate(self, runner, tmp_path, model_and_data):
         model_path, y = model_and_data
+        # the fixture's 10-draw model reads a negative shape off y, which
+        # exits 3; 200 draws give an estimate in range
+        refit = ["fit", "--config", str(tiny_config_file(tmp_path)), "--m-theta", "200",
+                 "--n-obs", "1000", "--out", str(model_path)]
+        assert runner.invoke(main, refit).exit_code == 0
         data = tmp_path / "y.txt"
         data.write_text("\n".join(f"{v:.17g}" for v in y) + "\n")
         result = runner.invoke(
@@ -423,6 +428,23 @@ class TestEstimate:
         assert header == "est_eta,est_gamma"
         got = tuple(float(tok) for tok in line.split(","))
         assert got == est.estimate(est.load_model(model_path), y)
+
+    def test_out_of_range_estimate_exits_3(self, runner, tmp_path):
+        # a small Bayes model reads a negative shape off Weibull(3, 2) data
+        model_path, data = tmp_path / "model.txt", tmp_path / "y.txt"
+        fit = ["fit", "--m-theta", "50", "--n-obs", "500", "--n-quantiles", "5",
+               "--seed", "0", "--out", str(model_path)]
+        assert runner.invoke(main, fit).exit_code == 0
+        y = 3.0 * np.random.default_rng(1).weibull(2.0, 500)
+        data.write_text("\n".join(f"{v:.17g}" for v in y) + "\n")
+        result = runner.invoke(
+            main, ["estimate", "--model", str(model_path), "--data", str(data)]
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        _, gamma_hat = est.estimate(est.load_model(model_path), y)
+        assert gamma_hat < 0
+        assert f"est_gamma = {gamma_hat:.17g}" in result.stderr
 
     def test_non_positive_data_exits_2(self, runner, tmp_path, model_and_data):
         model_path, y = model_and_data

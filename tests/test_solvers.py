@@ -1,5 +1,7 @@
 """Ridge and minimax second-stage fitters."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from twostage.solvers import (
     RankDeficiencyError,
     RegressionProblem,
     SolverBudgetError,
-    _solve_equilibrated,
+    _WorkingSetKKT,
+    _epigraph_dual_value,
+    _ipm_epigraph,
     _solve_spd,
     evaluate_max_quadratic,
     fit_minimax,
@@ -219,6 +223,7 @@ class TestFitMinimax:
             assert str(err.value).endswith(f"after {bounds}")
             coeff = err.value.coefficients
             assert isinstance(coeff, Coefficients)
+            assert coeff.trace["closed_by"] is None
             assert coeff.certificate > (tolerance or 1e-6 * coeff.objective)
             value, _ = evaluate_max_quadratic(coeff.beta, problem)
             assert value == pytest.approx(coeff.objective)
@@ -269,6 +274,47 @@ class TestFitMinimax:
         assert values[0] <= values[1] + 1e-9
         assert values[1] <= values[2] + 1e-9
 
+    def test_trace_of_protocol_shape_fit(self):
+        # seed-1 protocol shape problem: the exchange closes the gap from
+        # one kept KKT inverse, with at most one fallback inversion
+        config = TrainingConfig(seed=SeedSpec(1))
+        training_set = generate_training_set(config)
+        problem = RegressionProblem(
+            build_feature_matrix(training_set.alphas, FeatureKind.SHAPE),
+            training_set.thetas[training_set.parent_index, 1],
+            config.ridge,
+        )
+        fit = fit_minimax(problem)
+        trace = fit.trace
+        tolerance = 1e-6 * evaluate_max_quadratic(fit_ridge(problem).beta, problem)[0]
+        assert fit.certificate <= tolerance
+        gaps = trace["gaps"]
+        assert list(gaps) == ["interior point", "active-set exchange"]
+        assert trace["closed_by"] == "active-set exchange"
+        assert gaps["interior point"] > tolerance >= gaps["active-set exchange"]
+        assert trace["ipm_iterations"] > 0 and trace["exchange_steps"] > 0
+        assert 1 <= trace["kkt_inversions"] <= 2
+        assert json.loads(json.dumps(trace)) == trace
+        # the trace takes no part in comparison
+        assert fit == Coefficients(fit.beta, fit.objective, fit.certificate)
+
+    def test_ipm_multipliers_lead_with_side_plus_one(self):
+        # the first M multipliers belong to r_i <= tau, the last M to
+        # -r_i <= tau: with those sides the epigraph dual at the
+        # interior-point multipliers meets the primal objective
+        rng = np.random.default_rng(6)
+        M, m, lam = 20, 3, 1e-2
+        problem = RegressionProblem(rng.normal(size=(M, m)), rng.normal(size=M), lam)
+        pdiag = np.append(np.full(m, 2.0 * lam), 2.0)
+        x, z, _, _ = _ipm_epigraph(problem.features, problem.targets, pdiag, np.zeros(m), 1.0)
+        primal = lam * float(x[:m] @ x[:m]) + float(x[m]) ** 2
+        rows = np.tile(np.arange(M), 2)
+        plus_first = np.repeat([1.0, -1.0], M)
+        dual = _epigraph_dual_value(problem, rows, plus_first, z)
+        assert 0.0 <= primal - dual <= 1e-9 * primal
+        swapped = _epigraph_dual_value(problem, rows, -plus_first, z)
+        assert swapped < 0.5 * primal
+
     def test_certificate_reported_below_tolerance(self):
         rng = np.random.default_rng(23)
         problem = RegressionProblem(rng.normal(size=(30, 4)), rng.normal(size=30), 1e-6)
@@ -308,36 +354,83 @@ class TestLinearSolves:
         assert np.all(np.isfinite(x))
         np.testing.assert_allclose(A @ x, b, rtol=0, atol=1e-12 * np.linalg.norm(b))
 
-    @pytest.mark.parametrize(
-        "K",
-        [
-            [[1.0, 2.0], [2.0, 4.0]],
-            # the KKT layout of a working set that holds one row twice
-            [
-                [1.0, 2.0, 1.0, 0.0, 0.0],
-                [1.0, 2.0, 1.0, 0.0, 0.0],
-                [2e-8, 0.0, 0.0, -1.0, -1.0],
-                [0.0, 2e-8, 0.0, -2.0, -2.0],
-                [0.0, 0.0, 2.0, -1.0, -1.0],
-            ],
-        ],
-    )
-    def test_equilibrated_solve_rejects_singular_system(self, K):
-        K = np.array(K)
-        assert _solve_equilibrated(K, np.ones(K.shape[0])) is None
 
-    def test_equilibrated_solve_on_badly_scaled_system(self):
-        # rows and columns scaled over 16 decades around a well-conditioned
-        # core: cond(K) is about 1e27, yet the system is regular
-        rng = np.random.default_rng(4)
-        n = 40
-        core = rng.normal(size=(n, n)) + n * np.eye(n)
-        row, col = 10.0 ** rng.uniform(-8, 8, n), 10.0 ** rng.uniform(-8, 8, n)
-        K = row[:, None] * core * col[None, :]
-        x_true = rng.normal(size=n)
-        rhs = K @ x_true
-        sol = _solve_equilibrated(K, rhs)
+def kkt_system(problem, rows, sides):
+    """The working-set KKT matrix and right-hand side, built densely:
+    equations [stationarity, tau, rows], variables [beta, tau, z]."""
+    phi, t, lam = problem.features, problem.targets, problem.ridge
+    m, k = problem.n_features, len(rows)
+    G = np.column_stack([phi[rows], sides])
+    K = np.zeros((m + 1 + k, m + 1 + k))
+    K[:m, :m] = 2.0 * lam * np.eye(m)
+    K[m, m] = 2.0
+    K[: m + 1, m + 1 :] = -(sides[:, None] * G).T
+    K[m + 1 :, : m + 1] = G
+    return K, np.concatenate([np.zeros(m + 1), t[rows]])
+
+
+def componentwise_backward_error(K, rhs, x):
+    return float(np.max(np.abs(K @ x - rhs) / (np.abs(K) @ np.abs(x) + np.abs(rhs))))
+
+
+class TestWorkingSetKKT:
+    """The exchange's KKT kernel: a kept, updated inverse of the
+    equilibrated working-set system."""
+
+    @staticmethod
+    def solution(kkt):
+        sol = kkt.solve()
         assert sol is not None
+        beta, tau, z = sol
+        return np.concatenate([beta, [tau], z])
+
+    def test_updates_match_fresh_solve(self):
+        # random add, drop and swap sequences; every maintained solve is
+        # checked against the dense system and a fresh dense solve
+        rng = np.random.default_rng(9)
+        M, m = 14, 5
+        problem = RegressionProblem(rng.normal(size=(M, m)), rng.normal(size=M), 1e-3)
+        kkt = _WorkingSetKKT(problem, [0, 1], [1.0, -1.0])
+        for _ in range(60):
+            k = kkt.rows.size
+            op = rng.choice(["add", "drop", "swap"])
+            if op in ("drop", "swap") and k > 1:
+                kkt.drop(int(rng.integers(k)))
+            if op in ("add", "swap") and kkt.rows.size <= m:
+                outside = np.setdiff1d(np.arange(M), kkt.rows)
+                kkt.add(int(rng.choice(outside)), float(rng.choice([-1.0, 1.0])))
+            x = self.solution(kkt)
+            K, rhs = kkt_system(problem, kkt.rows, kkt.sides)
+            assert componentwise_backward_error(K, rhs, x) <= 1e-15
+            np.testing.assert_allclose(x, np.linalg.solve(K, rhs), rtol=1e-9, atol=1e-12)
+        # every step was an update: the only full inversion is the first
+        assert kkt.inversions == 1
+
+    @pytest.mark.parametrize("appended", [False, True], ids=["repeated-row", "appended-duplicate"])
+    def test_singular_working_set_solves_to_none(self, appended):
+        # a working set holding one row twice on the same side is singular,
+        # whether formed at once or bordered onto a kept inverse
+        problem = RegressionProblem([[1.0, 2.0], [0.5, -1.0]], [1.0, 0.0], 1e-8)
+        if appended:
+            kkt = _WorkingSetKKT(problem, [0, 1], [1.0, 1.0])
+            assert kkt.solve() is not None
+            kkt.add(0, 1.0)
+        else:
+            kkt = _WorkingSetKKT(problem, [0, 0], [1.0, 1.0])
+        assert kkt.solve() is None
+
+    def test_solve_on_badly_scaled_system(self):
+        # feature rows and columns scaled over 12 decades around a
+        # well-conditioned core: the KKT matrix spans ~1e24 in magnitude,
+        # yet the working-set system is regular
+        rng = np.random.default_rng(4)
+        M, m = 30, 20
+        row, col = 10.0 ** rng.uniform(-6, 6, M), 10.0 ** rng.uniform(-6, 6, m)
+        phi = row[:, None] * rng.normal(size=(M, m)) * col[None, :]
+        problem = RegressionProblem(phi, rng.normal(size=M) * row, 1e-4)
+        rows = rng.permutation(M)[:12]
+        sides = rng.choice([-1.0, 1.0], size=12)
+        kkt = _WorkingSetKKT(problem, rows, sides)
+        K, rhs = kkt_system(problem, rows, sides)
         # componentwise backward error at rounding level, row by row
-        backward = np.abs(K @ sol - rhs) / (np.abs(K) @ np.abs(sol) + np.abs(rhs))
-        assert float(np.max(backward)) <= 1e-15
+        assert componentwise_backward_error(K, rhs, self.solution(kkt)) <= 1e-15
