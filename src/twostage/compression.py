@@ -89,6 +89,8 @@ def quantile_plan(n_obs: int, n: int) -> QuantilePlan:
         raise ValueError("n must be >= 1")
     if n_obs < 2:
         raise ValueError("the sample must have at least 2 entries")
+    if n_obs > 2**53:
+        raise ValueError("n_obs must be at most 2**53: quantile positions are float64")
     pos = np.arange(1, n + 1) / n * (n_obs - 1)
     lo = np.floor(pos)
     frac = pos - lo

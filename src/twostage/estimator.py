@@ -147,35 +147,32 @@ def simulated_quantiles(config: TrainingConfig, draws, scales, shapes) -> np.nda
 
 def training_draws(config: TrainingConfig) -> np.ndarray:
     """Uniform order statistics of the training datasets: row i*m_y + j is
-    dataset j of parameter draw i, row j of draw i's sub-stream
-    (TRAIN_DATA_STREAM, i).  They do not depend on the parameter
-    distribution, so fits that differ only in it can share them."""
-    return np.concatenate(
-        [dataset_draws(config, (TRAIN_DATA_STREAM, i), config.m_y) for i in range(config.m_theta)]
-    )
+    replicate j of parameter draw i, row i of replicate j's sub-stream
+    (TRAIN_DATA_STREAM, j).  They do not depend on the parameter
+    distribution."""
+    replicates = [
+        dataset_draws(config, (TRAIN_DATA_STREAM, j), config.m_theta) for j in range(config.m_y)
+    ]
+    return np.stack(replicates, axis=1).reshape(config.m_theta * config.m_y, -1)
 
 
-def generate_training_set(config: TrainingConfig, draws=None) -> TrainingSet:
+def generate_training_set(config: TrainingConfig) -> TrainingSet:
     """Draw parameters from the configured distribution and compress one
     simulated dataset per (draw, replicate).
 
-    Deterministic given config.seed: the datasets of parameter draw i come
-    from its own sub-stream, so a larger m_theta or m_y extends a smaller
-    one.  ``draws`` are training_draws(config), drawn here when not given.
+    Deterministic given config.seed: replicate j of every parameter draw
+    comes from replicate j's sub-stream, one row per draw, so a larger
+    m_theta or m_y extends a smaller one.
     """
-    dist, seed = config.theta_distribution, config.seed
-    m, my = config.m_theta, config.m_y
+    dist, seed, m = config.theta_distribution, config.seed, config.m_theta
 
     thetas = np.empty((m, 2))
     thetas[:, 0] = prior_inverse_cdf(stream(seed, THETA_STREAM, 0).random(m), dist)
     thetas[:, 1] = prior_inverse_cdf(stream(seed, THETA_STREAM, 1).random(m), dist)
-    parent = np.repeat(np.arange(m), my)
-
-    if draws is None:
-        draws = training_draws(config)
-    elif len(draws) != m * my:
-        raise ValueError(f"expected {m * my} rows of training draws, got {len(draws)}")
-    alphas = simulated_quantiles(config, draws, thetas[parent, 0], thetas[parent, 1])
+    parent = np.repeat(np.arange(m), config.m_y)
+    alphas = simulated_quantiles(
+        config, training_draws(config), thetas[parent, 0], thetas[parent, 1]
+    )
     return TrainingSet(thetas=thetas, alphas=alphas, parent_index=parent, n_obs=config.n_obs)
 
 

@@ -12,7 +12,6 @@ import numpy as np
 
 from . import estimator as est
 from ._files import write_text_atomic
-from .compression import quantile_plan
 from .crlb import crlb
 from .priors import PriorKind, PriorSpec, prior_inverse_cdf
 from .rng import stream
@@ -90,8 +89,7 @@ def evaluation_draws(config: ExperimentConfig) -> np.ndarray:
     (points, mc_runs, order statistics): the runs at point p are the rows
     of its own sub-stream (EVAL_STREAM, p) under the training seed, disjoint
     from the training streams.  They depend on neither the model nor the
-    parameter distribution, so rules evaluated on one config can share
-    them."""
+    parameter distribution."""
     return np.stack(
         [
             est.dataset_draws(config.training, (est.EVAL_STREAM, p), config.mc_runs)
@@ -102,8 +100,7 @@ def evaluation_draws(config: ExperimentConfig) -> np.ndarray:
 
 def scatter_draws(config: ExperimentConfig) -> np.ndarray:
     """Uniform order statistics of the scatter datasets, one row per
-    parameter draw, from the sub-stream (SCATTER_STREAM, 2); like
-    evaluation_draws, shared by every rule."""
+    parameter draw, from the sub-stream (SCATTER_STREAM, 2)."""
     return est.dataset_draws(config.training, (est.SCATTER_STREAM, 2), config.training.m_theta)
 
 
@@ -112,14 +109,12 @@ def run_mse_experiment(
     model: est.TSModel,
     label: str | None = None,
     keep_errors: bool = False,
-    draws=None,
 ) -> RiskReport:
     """Estimate the rule's MSE at each eval point from fresh simulations.
 
     Every point has its own sub-stream under the training seed, disjoint
     from the training streams, whose rows are the runs, so results are
     reproducible and a longer run extends a shorter one run-for-run.
-    ``draws`` are evaluation_draws(config), drawn here when not given.
     """
     train = config.training
     if model.n_quantiles != train.n_quantiles:
@@ -127,11 +122,7 @@ def run_mse_experiment(
             f"model has {model.n_quantiles} quantiles, config expects "
             f"{train.n_quantiles}"
         )
-    plan = quantile_plan(train.n_obs, train.n_quantiles)
-    if draws is None:
-        draws = evaluation_draws(config)
-    elif np.shape(draws) != (len(config.eval_points), config.mc_runs, plan.ranks.size):
-        raise ValueError("evaluation draws do not match the config")
+    draws = evaluation_draws(config)
     rows = []
     all_errors = []
     ones = np.ones(config.mc_runs)
@@ -165,40 +156,32 @@ def reproduce_table(config: ExperimentConfig) -> tuple[RiskReport, RiskReport, R
     reciprocal prior plus the minimax fit under the uniform proposal, each
     evaluated at every configured point.
 
-    The three rules read the same simulated datasets (their streams do not
-    depend on the prior), so each is drawn once and shared.  Emits the
-    combined table (and per-method models/scatter files) into output_dir
-    according to config.emit.
+    Each rule is fitted, evaluated and scattered exactly as on its own; the
+    streams do not depend on the prior, so all three read the same simulated
+    datasets.  Emits the combined table (and per-method models/scatter
+    files) into output_dir according to config.emit.
     """
     base = config.training
     variants = (
-        ("bayes-uniform", est.METHOD_BAYES, PriorKind.UNIFORM),
-        ("bayes-reciprocal", est.METHOD_BAYES, PriorKind.RECIPROCAL),
-        ("minimax", est.METHOD_MINIMAX, PriorKind.UNIFORM),
+        ("bayes-uniform", est.fit_bayes, PriorKind.UNIFORM),
+        ("bayes-reciprocal", est.fit_bayes, PriorKind.RECIPROCAL),
+        ("minimax", est.fit_minimax, PriorKind.UNIFORM),
     )
     out = config.output_dir
     if config.emit:
         out.mkdir(parents=True, exist_ok=True)
 
-    train_draws = est.training_draws(base)
-    eval_draws = evaluation_draws(config)
-    scatter = scatter_draws(config) if "scatter" in config.emit else None
-    training_sets = {}
     reports = []
-    for label, method, kind in variants:
+    for label, fit, kind in variants:
         dist = PriorSpec(kind, base.theta_distribution.lower, base.theta_distribution.upper)
         training = replace(base, theta_distribution=dist)
         sub_config = replace(config, training=training)
-        if kind not in training_sets:
-            training_sets[kind] = est.generate_training_set(training, train_draws)
-        model = est.fit_from_training_set(
-            training_sets[kind], training.ridge, method, training.fingerprint()
-        )
-        reports.append(run_mse_experiment(sub_config, model, label, draws=eval_draws))
+        model = fit(training)
+        reports.append(run_mse_experiment(sub_config, model, label))
         if "model" in config.emit:
             est.save_model(model, out / f"model_{label}.txt")
-        if scatter is not None:
-            emit_scatter(model, sub_config, label=label, draws=scatter)
+        if "scatter" in config.emit:
+            emit_scatter(model, sub_config, label=label)
     if "table" in config.emit:
         write_risk_reports(reports, out / "table1.csv")
     return tuple(reports)
@@ -208,12 +191,10 @@ def emit_scatter(
     model: est.TSModel,
     config: ExperimentConfig,
     label: str | None = None,
-    draws=None,
 ) -> Path:
     """Simulate fresh parameter draws, estimate them, and write the scatter
     rows (true_eta, true_gamma, est_eta, est_gamma) behind the method's
-    true-vs-estimated plots.  ``draws`` are scatter_draws(config), drawn
-    here when not given.  The file is replaced atomically; returns its
+    true-vs-estimated plots.  The file is replaced atomically; returns its
     path."""
     train = config.training
     if model.n_quantiles != train.n_quantiles:
@@ -222,11 +203,7 @@ def emit_scatter(
 
     true_eta = prior_inverse_cdf(stream(seed, est.SCATTER_STREAM, 0).random(m), dist)
     true_gamma = prior_inverse_cdf(stream(seed, est.SCATTER_STREAM, 1).random(m), dist)
-    if draws is None:
-        draws = scatter_draws(config)
-    elif len(draws) != m:
-        raise ValueError(f"expected {m} rows of scatter draws, got {len(draws)}")
-    alphas = est.simulated_quantiles(train, draws, true_eta, true_gamma)
+    alphas = est.simulated_quantiles(train, scatter_draws(config), true_eta, true_gamma)
     estimates = est.estimate_from_quantiles(model, alphas)
 
     config.output_dir.mkdir(parents=True, exist_ok=True)

@@ -29,9 +29,9 @@ class SeedSpec:
 def stream(seed: SeedSpec, *path: int) -> np.random.Generator:
     """Return the generator for ``seed``, optionally descended into a sub-path.
 
-    Sub-paths make every draw a function of its path alone: the datasets of
-    parameter draw i come from ``stream(seed, tag, i)`` and see the same
-    variates whatever else is drawn and in whichever order.
+    Sub-paths make every draw a function of its path alone: the training
+    datasets of replicate j come from ``stream(seed, tag, j)`` and see the
+    same variates whatever else is drawn and in whichever order.
     """
     if any((not isinstance(p, int)) or p < 0 for p in path):
         raise ValueError("stream path entries must be non-negative integers")

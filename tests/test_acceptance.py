@@ -29,7 +29,7 @@ from twostage import (
 )
 from twostage import solvers
 from twostage.compression import FeatureKind, order_statistics, sorted_quantiles
-from twostage.estimator import build_feature_matrix, fit_from_training_set, training_draws
+from twostage.estimator import build_feature_matrix, fit_from_training_set
 from twostage.rng import stream
 
 from oracles import (
@@ -242,11 +242,9 @@ def test_criterion_7_pipeline_invariants(bayes_uniform):
     rng.shuffle(shuffled)
     perm_ok = estimate(bayes_uniform, shuffled) == estimate(bayes_uniform, y)
 
-    # bit-identical refits, whether the training draws are made by the fit
-    # or shared from a separate call
+    # bit-identical refits
     cfg = TrainingConfig(m_theta=30, n_obs=400, n_quantiles=5, seed=SeedSpec(555))
-    shared = generate_training_set(cfg, training_draws(cfg))
-    models = [fit_bayes(cfg), fit_bayes(cfg), fit_from_training_set(shared, cfg.ridge, "bayes")]
+    models = [fit_bayes(cfg), fit_bayes(cfg)]
     refit_ok = (
         len({m.beta_scale.beta.tobytes() for m in models}) == 1
         and len({m.beta_shape.beta.tobytes() for m in models}) == 1

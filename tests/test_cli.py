@@ -252,6 +252,16 @@ class TestFit:
         assert result.exit_code == 3
         assert "solver failure" in result.output
 
+    @pytest.mark.parametrize("n_obs", ["100000000000000000000", "9223372036854775807"])
+    def test_n_obs_beyond_float64_exits_2(self, tmp_path, n_obs):
+        # quantile positions are float64, so a larger N is refused by name
+        # before the index cast can overflow or warn
+        result = run_python("-m", "twostage.cli", "fit", "--m-theta", "5", "--n-quantiles", "3",
+                            "--n-obs", n_obs, "--out", str(tmp_path / "model.txt"))
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("invalid input: n_obs")
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+
     def test_unreadable_config_exits_4(self, runner, tmp_path):
         result = runner.invoke(main, ["fit", "--config", str(tmp_path / "missing.json")])
         assert result.exit_code == 4
@@ -484,16 +494,21 @@ class TestEstimate:
         assert "model.txt" in result.output and "shape_objective" in result.output
 
 
+def run_python(*args):
+    """Run a fresh interpreter on this checkout's sources with ``args``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 def test_start_up_imports_no_scipy():
     # the solvers run on numpy alone; scipy is a test-only dependency
-    src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys, twostage, twostage.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
+    result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"

@@ -23,7 +23,7 @@ from twostage import (
     load_model,
     save_model,
 )
-from twostage import solvers
+from twostage import estimator, solvers
 from twostage.compression import (
     FeatureKind,
     order_statistics,
@@ -127,19 +127,37 @@ class TestGenerateTrainingSet:
         )
 
     def test_rows_equal_per_dataset_compression(self):
-        # row j of parameter draw i is row j of that draw's sub-stream,
-        # compressed through the quantile function of draw i
+        # replicate j of parameter draw i is row i of replicate j's
+        # sub-stream, compressed through the quantile function of draw i
         cfg = TrainingConfig(m_theta=6, m_y=2, n_obs=300, n_quantiles=5, seed=SeedSpec(17))
         ts = generate_training_set(cfg)
         plan = quantile_plan(cfg.n_obs, cfg.n_quantiles)
-        for i in range(cfg.m_theta):
-            params = WeibullParams(ts.thetas[i, 0], ts.thetas[i, 1])
+        for j in range(cfg.m_y):
             u = sample_uniform_order_statistics(
-                stream(cfg.seed, TRAIN_DATA_STREAM, i), cfg.n_obs, plan.ranks, cfg.m_y
+                stream(cfg.seed, TRAIN_DATA_STREAM, j), cfg.n_obs, plan.ranks, cfg.m_theta
             )
-            for j in range(cfg.m_y):
-                expected = plan.quantiles(weibull_quantile(u[j], params))
+            for i in range(cfg.m_theta):
+                params = WeibullParams(ts.thetas[i, 0], ts.thetas[i, 1])
+                expected = plan.quantiles(weibull_quantile(u[i], params))
                 np.testing.assert_array_equal(ts.alphas[i * cfg.m_y + j], expected)
+
+    def test_generator_count_does_not_grow_with_m_theta(self, monkeypatch):
+        # two streams for the parameter draws and one per replicate
+        calls = []
+
+        def counting_stream(*args):
+            calls.append(args)
+            return stream(*args)
+
+        monkeypatch.setattr(estimator, "stream", counting_stream)
+        counts = []
+        for m_theta in (50, 500):
+            calls.clear()
+            generate_training_set(
+                TrainingConfig(m_theta=m_theta, n_obs=300, n_quantiles=5, seed=SeedSpec(19))
+            )
+            counts.append(len(calls))
+        assert counts == [3, 3]
 
     def test_cost_does_not_grow_with_n_obs(self):
         # drawing and sorting 10**12 observations would take 8 TB per dataset

@@ -190,30 +190,12 @@ class TestRunMseExperiment:
             assert diff <= 4 * se
 
 
-@pytest.mark.parametrize(
-    "cut", [lambda d: d[:-1], lambda d: d[..., :-1]], ids=["rows", "columns"]
-)
-@pytest.mark.parametrize("use", ["training", "evaluation", "scatter"])
-def test_rejects_draws_of_wrong_shape(use, cut, tmp_path):
-    model = fit_bayes(TINY_TRAIN)
-    config = tiny_config(output_dir=tmp_path)
-    draws, run = {
-        "training": (
-            est.training_draws(TINY_TRAIN),
-            lambda d: est.generate_training_set(TINY_TRAIN, d),
-        ),
-        "evaluation": (
-            exp.evaluation_draws(config),
-            lambda d: run_mse_experiment(config, model, draws=d),
-        ),
-        "scatter": (
-            exp.scatter_draws(config),
-            lambda d: emit_scatter(model, config, draws=d),
-        ),
-    }[use]
-    run(draws)
+def test_simulated_quantiles_rejects_draws_a_column_short():
+    draws = est.training_draws(TINY_TRAIN)
+    ones = np.ones(len(draws))
+    est.simulated_quantiles(TINY_TRAIN, draws, ones, ones)
     with pytest.raises(ValueError, match="draws"):
-        run(cut(draws))
+        est.simulated_quantiles(TINY_TRAIN, draws[:, :-1], ones, ones)
 
 
 class TestScatter:
@@ -376,8 +358,8 @@ class TestReproduceTable:
             assert alone.rows == report.rows
 
     def test_models_equal_standalone_fits(self, outputs, tmp_path):
-        # the rules also share training draws; each saved model must equal
-        # the model its own config fits from scratch
+        # each saved model must equal the model its own config fits from
+        # scratch
         out, config, _ = outputs
         variants = (
             ("bayes-uniform", est.fit_bayes, "uniform"),
