@@ -14,7 +14,7 @@ constant) of the quantiles and their ratios against the top quantile,
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -64,19 +64,28 @@ class QuantilePlan:
     lower: np.ndarray
     upper: np.ndarray
     frac: np.ndarray
+    # one gather of (lower, upper, nearer end) and the step from the nearer
+    # end: frac - 1 = -(1 - frac) exactly for frac >= 1/2, so this is the
+    # two-sided lerp, which keeps accuracy at extreme fractions
+    gather: np.ndarray = field(init=False, repr=False)
+    step: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        far = self.frac > 0.5
+        near = np.where(far, self.upper, self.lower)
+        object.__setattr__(self, "gather", np.concatenate([self.lower, self.upper, near]))
+        object.__setattr__(self, "step", np.where(far, self.frac - 1.0, self.frac))
 
     def quantiles(self, stats) -> np.ndarray:
         """Sample quantiles along the last axis of ``stats``, which holds
         each sample's order statistics at ``ranks``.  The result is in C
         order."""
-        lower = np.take(stats, self.lower, axis=-1)
-        upper = np.take(stats, self.upper, axis=-1)
-        span = upper - lower
-        frac = self.frac
-        # two-sided lerp keeps accuracy at extreme fractions
-        raw = np.where(frac <= 0.5, lower + frac * span, upper - (1.0 - frac) * span)
+        n = self.frac.size
+        ends = np.take(stats, self.gather, axis=-1)
+        lower, upper = ends[..., :n], ends[..., n : 2 * n]
+        raw = ends[..., 2 * n :] + self.step * (upper - lower)
         # the true quantile lies in [lower, upper]; clamp away rounding overshoot
-        return np.minimum(np.maximum(raw, lower), upper)
+        return np.minimum(np.maximum(raw, lower, out=raw), upper, out=raw)
 
 
 @functools.lru_cache(maxsize=256)
@@ -98,7 +107,7 @@ def quantile_plan(n_obs: int, n: int) -> QuantilePlan:
     hi = np.minimum(lo + 1, n_obs - 1)
     ranks, index = np.unique(np.concatenate([lo, hi]), return_inverse=True)
     plan = QuantilePlan(ranks, index[:n], index[n:], frac)
-    for array in (plan.ranks, plan.lower, plan.upper, plan.frac):
+    for array in (plan.ranks, plan.lower, plan.upper, plan.frac, plan.gather, plan.step):
         array.flags.writeable = False
     return plan
 
@@ -122,12 +131,26 @@ def scale_features(alphas: np.ndarray) -> np.ndarray:
     """Scale features of every row of a quantile matrix, in C order: the
     quantiles followed by the ratios a_2/a_1, ..., a_n/a_1 (2n-1 columns)."""
     rows, n = alphas.shape
-    if np.any(alphas[:, 0] == 0.0):
+    if not alphas[:, 0].all():
         raise DegenerateInputError("first quantile is zero; ratio features undefined")
     out = np.empty((rows, scale_feature_len(n)))
     out[:, :n] = alphas
     np.divide(alphas[:, 1:], alphas[:, :1], out=out[:, n:])
     return out
+
+
+def shape_basis(alphas: np.ndarray) -> np.ndarray:
+    """u = (1, a_1..a_n, a_1/a_n..a_{n-1}/a_n) of every row of a quantile
+    matrix: the shape features are the distinct products of its entries."""
+    rows, n = alphas.shape
+    top = alphas[:, n - 1 :]
+    if not top.all():
+        raise DegenerateInputError("top quantile is zero; ratio features undefined")
+    u = np.empty((rows, 2 * n))
+    u[:, 0] = 1.0
+    u[:, 1 : n + 1] = alphas
+    np.divide(alphas[:, : n - 1], top, out=u[:, n + 1 :])
+    return u
 
 
 def shape_features(alphas: np.ndarray) -> np.ndarray:
@@ -140,18 +163,25 @@ def shape_features(alphas: np.ndarray) -> np.ndarray:
     j = n, a_k): 3n(n+1)/2 columns for n quantiles.
     """
     rows, n = alphas.shape
-    top = alphas[:, n - 1 :]
-    if np.any(top == 0.0):
-        raise DegenerateInputError("top quantile is zero; ratio features undefined")
-    k = scale_feature_len(n)
+    u = shape_basis(alphas)
     out = np.empty((rows, shape_feature_len(n)))
-    out[:, 0] = 1.0
-    psi = out[:, 1 : k + 1]
-    psi[:, :n] = alphas
-    np.divide(alphas[:, : n - 1], top, out=psi[:, n:])
+    out[:, : 2 * n] = u
+    psi = u[:, 1:]
     jj, kk = _distinct_pairs(n)
-    np.multiply(psi[:, jj], psi[:, kk], out=out[:, k + 1 :])
+    np.multiply(psi[:, jj], psi[:, kk], out=out[:, 2 * n :])
     return out
+
+
+def shape_form(beta: np.ndarray, n: int) -> np.ndarray:
+    """The read-only upper-triangular Q with u'Qu = shape_features(alphas) @ beta
+    for u = shape_basis(alphas); Q[j+1, k+1] weighs psi_j * psi_k."""
+    width = 2 * n
+    form = np.zeros((width, width))
+    form[0] = beta[:width]
+    jj, kk = _distinct_pairs(n)
+    form[1 + jj, 1 + kk] = beta[width:]
+    form.flags.writeable = False
+    return form
 
 
 @functools.lru_cache(maxsize=64)

@@ -51,14 +51,18 @@ def fisher_per_sample(params: WeibullParams) -> FisherMatrix:
 
 def crlb(params: WeibullParams, n_obs: int) -> tuple[float, float]:
     """Diagonal of (n_obs * I(params))^-1: variance lower bounds for
-    unbiased estimators of (scale, shape) from n_obs observations."""
+    unbiased estimators of (scale, shape) from n_obs observations.  A point
+    where float64 cannot hold them raises ValueError naming it."""
     if n_obs < 1:
         raise ValueError("n_obs must be >= 1")
-    info = fisher_per_sample(params).entries
-    det = info[0, 0] * info[1, 1] - info[0, 1] * info[1, 0]
-    if not det > 0:
-        raise ArithmeticError("information matrix is not positive definite")
-    return (
-        float(info[1, 1] / (det * n_obs)),
-        float(info[0, 0] / (det * n_obs)),
-    )
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            info = fisher_per_sample(params).entries
+            det = info[0, 0] * info[1, 1] - info[0, 1] * info[1, 0]
+            bounds = (float(info[1, 1] / (det * n_obs)), float(info[0, 0] / (det * n_obs)))
+    except (OverflowError, FloatingPointError):
+        bounds = (math.nan, math.nan)
+    if not all(0 < b < math.inf for b in bounds):
+        point = f"scale {params.scale!r}, shape {params.shape!r}"
+        raise ValueError(f"no Cramér-Rao bound in float64 range at {point}")
+    return bounds

@@ -25,8 +25,10 @@ from .compression import (
     quantile_plan,
     scale_feature_len,
     scale_features,
+    shape_basis,
     shape_feature_len,
     shape_features,
+    shape_form,
     sorted_quantiles,
     validate_quantiles,
 )
@@ -179,13 +181,15 @@ def generate_training_set(config: TrainingConfig) -> TrainingSet:
 @dataclass(frozen=True)
 class TSModel:
     """A fitted two-stage decision rule: quantile compression composed with
-    linear readouts over the scale and shape feature maps."""
+    linear readouts over the scale and shape feature maps; ``shape_form``,
+    the shape readout as a quadratic form, is neither compared nor saved."""
 
     beta_scale: solvers.Coefficients
     beta_shape: solvers.Coefficients
     n_quantiles: int
     method: str
     config_fingerprint: str
+    shape_form: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.method not in (METHOD_BAYES, METHOD_MINIMAX):
@@ -194,6 +198,7 @@ class TSModel:
             raise ValueError("scale coefficient length does not match n_quantiles")
         if self.beta_shape.beta.size != shape_feature_len(self.n_quantiles):
             raise ValueError("shape coefficient length does not match n_quantiles")
+        object.__setattr__(self, "shape_form", shape_form(self.beta_shape.beta, self.n_quantiles))
 
 
 def build_feature_matrix(alphas: np.ndarray, kind: FeatureKind) -> np.ndarray:
@@ -292,13 +297,16 @@ def estimate_from_quantiles(model: TSModel, alphas) -> np.ndarray:
 
 
 def _read_out(model: TSModel, alphas: np.ndarray) -> np.ndarray:
-    beta_scale, beta_shape = model.beta_scale.beta, model.beta_shape.beta
+    beta_scale, form = model.beta_scale.beta, model.shape_form
     out = np.empty((alphas.shape[0], 2))
     for start in range(0, alphas.shape[0], _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         block = alphas[rows]
         out[rows, 0] = np.vecdot(scale_features(block), beta_scale)
-        out[rows, 1] = np.vecdot(shape_features(block), beta_shape)
+        # u'Qu as one dot per (row, j) in a fixed order, not u @ Q: a row
+        # then reads out bit for bit alike alone and in any batch
+        u = shape_basis(block)
+        out[rows, 1] = np.vecdot(u, np.vecdot(u[:, None, :], form))
     return out
 
 

@@ -24,6 +24,8 @@ _TABLE_HEADER = (
     "method,true_eta,true_gamma,crlb_eta,crlb_gamma,"
     "mse_eta,mse_gamma,efficiency_eta,efficiency_gamma"
 )
+# the RiskRow field in each column after the method
+_TABLE_COLUMNS = _TABLE_HEADER.split(",")[1:]
 _SCATTER_HEADER = "true_eta,true_gamma,est_eta,est_gamma"
 
 
@@ -234,19 +236,7 @@ def write_risk_reports(reports, path) -> Path:
     lines = [_TABLE_HEADER]
     for report in reports:
         for row in report.rows:
-            fields = ",".join(
-                f"{v:.5e}"
-                for v in (
-                    row.true_eta,
-                    row.true_gamma,
-                    row.crlb_eta,
-                    row.crlb_gamma,
-                    row.mse_eta,
-                    row.mse_gamma,
-                    row.efficiency_eta,
-                    row.efficiency_gamma,
-                )
-            )
+            fields = ",".join(f"{getattr(row, name):.5e}" for name in _TABLE_COLUMNS)
             lines.append(f"{report.method},{fields}")
     return write_text_atomic(path, "\n".join(lines) + "\n")
 
@@ -262,17 +252,7 @@ def read_risk_reports(path) -> tuple[RiskReport, ...]:
         if len(tokens) != 9:
             raise ValueError(f"{path}: malformed row {line!r}")
         method = tokens[0]
-        vals = [float(tok) for tok in tokens[1:]]
-        row = RiskRow(
-            true_eta=vals[0],
-            true_gamma=vals[1],
-            crlb_eta=vals[2],
-            crlb_gamma=vals[3],
-            mse_eta=vals[4],
-            mse_gamma=vals[5],
-            efficiency_eta=vals[6],
-            efficiency_gamma=vals[7],
-        )
+        row = RiskRow(**{name: float(tok) for name, tok in zip(_TABLE_COLUMNS, tokens[1:])})
         if not reports or reports[-1][0] != method:
             reports.append((method, []))
         reports[-1][1].append(row)

@@ -118,6 +118,18 @@ def sample_quantile(y_sorted, p: float) -> float:
     return float(min(max(raw, arr[lo]), arr[hi]))
 
 
+def two_sided_lerp(plan, stats) -> np.ndarray:
+    """Sample quantiles along the last axis of ``stats`` (order statistics
+    at plan.ranks) by the lerp from whichever end of each interval is
+    nearer, as two branches: the reference for QuantilePlan.quantiles."""
+    lower = np.take(stats, plan.lower, axis=-1)
+    upper = np.take(stats, plan.upper, axis=-1)
+    span = upper - lower
+    frac = plan.frac
+    raw = np.where(frac <= 0.5, lower + frac * span, upper - (1.0 - frac) * span)
+    return np.minimum(np.maximum(raw, lower), upper)
+
+
 def weibull_quantile(p, params: WeibullParams):
     """Inverse CDF: scale * (-log(1-p))^(1/shape), defined for p in [0, 1)."""
     p_arr = np.asarray(p, dtype=float)

@@ -353,6 +353,23 @@ class TestCrlb:
         assert result.exit_code == 2
         assert "must be an integer" in result.output
 
+    @pytest.mark.parametrize(
+        "lower, upper, point",
+        [(1.0, 1e200, [1e180, 2.0]), (1e-200, 20.0, [1e-170, 2.0])],
+        ids=["information-underflows", "information-overflows"],
+    )
+    def test_bound_out_of_float64_range_exits_2(self, tmp_path, lower, upper, point):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "training": {"theta_distribution": {"lower": lower, "upper": upper}},
+            "eval_points": [point],
+        }))
+        result = run_python("-m", "twostage.cli", "crlb", "--config", str(cfg))
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("invalid input: no Cramér-Rao bound")
+        assert repr(point[0]) in result.stderr
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+
     def test_failed_out_write_keeps_existing_file(self, runner, tmp_path, monkeypatch):
         path = tmp_path / "bounds.csv"
         path.write_text("old\n")

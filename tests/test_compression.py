@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from twostage import DegenerateInputError, SeedSpec, WeibullParams, order_statistics
 from twostage.compression import (
+    QuantilePlan,
+    quantile_plan,
     scale_feature_len,
     scale_features,
     shape_feature_len,
@@ -15,7 +17,13 @@ from twostage.compression import (
     validate_quantiles,
 )
 
-from oracles import all_quadratic_monomials, sample_quantile, sample_weibull, weibull_quantile
+from oracles import (
+    all_quadratic_monomials,
+    sample_quantile,
+    sample_weibull,
+    two_sided_lerp,
+    weibull_quantile,
+)
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -120,6 +128,25 @@ class TestCompress:
         ys = order_statistics(values)
         expected = [sample_quantile(ys, k / n) for k in range(1, n + 1)]
         np.testing.assert_array_equal(compress(values, n), expected)
+
+    @pytest.mark.parametrize("n_obs, n", [(2, 1), (11, 4), (101, 10), (1000, 7), (10000, 10)])
+    def test_one_gather_lerp_matches_two_sided_lerp(self, n_obs, n):
+        plan = quantile_plan(n_obs, n)
+        stats = np.sort(np.random.default_rng(n_obs).weibull(1.5, (50, plan.ranks.size)), axis=1)
+        for rows in (stats, stats[0]):
+            np.testing.assert_array_equal(plan.quantiles(rows), two_sided_lerp(plan, rows))
+
+    def test_one_gather_lerp_at_branch_edges(self):
+        # frac 0, 1/2 and 1/2 +- 1 ulp (where the nearer end switches), and
+        # fractions up to 1 ulp below 1
+        frac = np.array([0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                         0.25, 0.75, 1.0 - 2.0**-30, np.nextafter(1.0, 0.0)])
+        index = np.zeros(frac.size, dtype=np.intp)
+        plan = QuantilePlan(np.arange(2), index, index + 1, frac)
+        rng = np.random.default_rng(3)
+        stats = np.sort(rng.uniform(-1.0, 1.0, (200, 2)) * 10.0 ** rng.integers(-8, 8, (200, 1)))
+        stats[:3] = [[1.0, 1.0], [0.1, 0.3], [-1e307, 1e307]]
+        np.testing.assert_array_equal(plan.quantiles(stats), two_sided_lerp(plan, stats))
 
     @given(data_vectors, st.integers(min_value=1, max_value=5))
     @settings(max_examples=80, deadline=None)

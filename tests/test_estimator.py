@@ -24,20 +24,26 @@ from twostage import (
     save_model,
 )
 from twostage import estimator, solvers
+from twostage import compression
 from twostage.compression import (
+    DegenerateInputError,
     FeatureKind,
     order_statistics,
     quantile_plan,
     scale_feature_len,
+    scale_features,
     shape_feature_len,
+    shape_features,
     sorted_quantiles,
 )
 from twostage.estimator import (
     THETA_STREAM,
     TRAIN_DATA_STREAM,
     build_feature_matrix,
+    dataset_draws,
     estimate_from_quantiles,
     fit_from_training_set,
+    simulated_quantiles,
     training_draws,
 )
 from twostage.experiment import ExperimentConfig, evaluation_draws, scatter_draws
@@ -323,6 +329,89 @@ class TestEstimate:
         estimate(model, y)
         with pytest.raises(ValueError, match="positive and finite"):
             estimate(model, corrupt(y))
+
+
+def protocol_rows(n: int, rows: int, seed: int = 5) -> np.ndarray:
+    """Quantile rows of N = 10,000 datasets at parameters drawn uniformly
+    from the protocol's range [1, 20]."""
+    config = TrainingConfig(n_quantiles=n, seed=SeedSpec(seed))
+    params = np.random.default_rng(seed).uniform(1.0, 20.0, (2, rows))
+    return simulated_quantiles(config, dataset_draws(config, (9, 0), rows), *params)
+
+
+def random_model(n: int, seed: int) -> TSModel:
+    """A model of random coefficients, of magnitudes spread over decades."""
+    rng = np.random.default_rng(seed)
+
+    def coefficients(size):
+        beta = rng.normal(size=size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+        return solvers.Coefficients(beta, 0.0, 0.0)
+
+    return TSModel(coefficients(scale_feature_len(n)), coefficients(shape_feature_len(n)),
+                   n, METHOD_BAYES, "")
+
+
+class TestQuadraticFormReadout:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_long_double_feature_readout(self, n, seed):
+        model = random_model(n, seed)
+        alphas = protocol_rows(n, 300, seed)
+        phi, beta = shape_features(alphas), model.beta_shape.beta
+        reference = phi.astype(np.longdouble) @ beta.astype(np.longdouble)
+        got = estimate_from_quantiles(model, alphas)
+        error = np.abs(got[:, 1] - reference).astype(float)
+        assert np.all(error <= 1e-15 * np.abs(phi * beta).sum(axis=1))
+        # the scale column is the explicit feature readout, bit for bit
+        scale = np.vecdot(scale_features(alphas), model.beta_scale.beta)
+        np.testing.assert_array_equal(got[:, 0], scale)
+
+    def test_fitted_model_matches_long_double_feature_readout(self):
+        model = fit_bayes(SMALL)
+        alphas = generate_training_set(replace(SMALL, seed=SeedSpec(78))).alphas
+        phi, beta = shape_features(alphas), model.beta_shape.beta
+        reference = phi.astype(np.longdouble) @ beta.astype(np.longdouble)
+        error = np.abs(estimate_from_quantiles(model, alphas)[:, 1] - reference).astype(float)
+        assert np.all(error <= 1e-15 * np.abs(phi * beta).sum(axis=1))
+
+    def test_zero_top_quantile_is_degenerate(self):
+        model = random_model(3, 0)
+        # a non-zero first quantile passes the scale map's check
+        with pytest.raises(DegenerateInputError, match="top quantile is zero"):
+            estimate_from_quantiles(model, [[1.0, 2.0, 3.0], [-2.0, -1.0, 0.0]])
+
+    def test_does_not_build_shape_features(self, monkeypatch):
+        model = fit_bayes(SMALL)
+        y = weibull_quantile(stream(SeedSpec(503), 0).random(300), WeibullParams(3.0, 2.0))
+        alphas = protocol_rows(SMALL.n_quantiles, 20)
+        expected = estimate(model, y), estimate_from_quantiles(model, alphas)
+
+        def refuse(alphas):
+            raise AssertionError("the readout built the explicit shape features")
+
+        monkeypatch.setattr(compression, "shape_features", refuse)
+        monkeypatch.setattr(estimator, "shape_features", refuse)
+        assert estimate(model, y) == expected[0]
+        np.testing.assert_array_equal(estimate_from_quantiles(model, alphas), expected[1])
+
+
+class TestReadoutIsBitExact:
+    def test_row_reads_out_alike_alone_and_in_any_batch(self):
+        # more rows than one readout block holds, and not a multiple of it
+        model = fit_bayes(replace(SMALL, m_theta=200, n_obs=1000, n_quantiles=10))
+        alphas = protocol_rows(10, estimator._BLOCK_ROWS + 3)
+        batch = estimate_from_quantiles(model, alphas)
+        alone = np.array([estimate_from_quantiles(model, row[None])[0] for row in alphas])
+        np.testing.assert_array_equal(batch, alone)
+        threes = [estimate_from_quantiles(model, alphas[r : r + 3]) for r in range(0, len(alphas), 3)]
+        np.testing.assert_array_equal(batch, np.concatenate(threes))
+
+    @pytest.mark.parametrize("size", [6, 120, 10_000])
+    def test_estimate_equals_readout_of_its_quantiles(self, size):
+        model = fit_bayes(SMALL)
+        y = weibull_quantile(stream(SeedSpec(504), size).random(size), WeibullParams(4.0, 1.5))
+        alphas = sorted_quantiles(np.sort(y), SMALL.n_quantiles)
+        assert estimate(model, y) == tuple(estimate_from_quantiles(model, alphas[None])[0])
 
 
 class TestSerialization:
