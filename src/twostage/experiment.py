@@ -5,6 +5,7 @@ emission of the result table and of scatter data (true vs. estimated).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -70,8 +71,12 @@ class RiskRow:
     efficiency_gamma: float
 
     def __post_init__(self):
-        if self.mse_eta < 0 or self.mse_gamma < 0:
-            raise ValueError("mse must be non-negative")
+        risks = (self.mse_eta, self.mse_gamma, self.efficiency_eta, self.efficiency_gamma)
+        if not all(math.isfinite(value) and value >= 0 for value in risks):
+            raise ValueError(
+                f"mse and efficiency at ({self.true_eta:g}, {self.true_gamma:g}) must be "
+                f"finite and non-negative, got {', '.join(f'{v:g}' for v in risks)}"
+            )
         if not (self.crlb_eta > 0 and self.crlb_gamma > 0):
             raise ValueError("crlb must be positive")
 
@@ -129,10 +134,12 @@ def run_mse_experiment(
     all_errors = []
     ones = np.ones(config.mc_runs)
     for p_idx, (eta, gam) in enumerate(config.eval_points):
-        alphas = est.simulated_quantiles(train, draws[p_idx], eta * ones, gam * ones)
-        errors = est.estimate_from_quantiles(model, alphas) - (eta, gam)
-        mse = np.mean(errors * errors, axis=0)
         bound_eta, bound_gamma = crlb(WeibullParams(eta, gam), train.n_obs)
+        alphas = est.simulated_quantiles(train, draws[p_idx], eta * ones, gam * ones)
+        # an overflow leaves an MSE that is not finite, which RiskRow rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            errors = est.estimate_from_quantiles(model, alphas) - (eta, gam)
+            mse = np.mean(errors * errors, axis=0)
         rows.append(
             RiskRow(
                 true_eta=eta,

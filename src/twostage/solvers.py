@@ -7,17 +7,18 @@ the normal equations (certificate 0); the minimax program
     min_beta  max_i (t_i - phi_i . beta)^2  +  ridge * ||beta||^2
 
 is solved by a primal-dual interior-point iteration on its epigraph form,
-and the reported certificate is a rigorous global suboptimality bound: for
-any simplex weights u,
+and the reported certificate is a rigorous global suboptimality bound: the
+best objective found minus a Lagrange dual value, which any multipliers
+z >= 0 give (weak duality).  At ridge > 0 the dual of the epigraph program
+has a closed form, evaluated at the interior point's own multipliers; if
+that leaves the gap open, an active-set exchange closes it with the same
+closed form at its working-set multipliers.  At ridge 0 the closed form
+does not exist, and the bound is
 
-    L(u) = min_beta  sum_i u_i (t_i - phi_i . beta)^2 + ridge * ||beta||^2
+    L(u) = min_beta  sum_i u_i (t_i - phi_i . beta)^2
 
-never exceeds the minimax optimum (a convex combination never exceeds a
-max), and L(u) is computable by one exact linear solve.  The mean-risk
-optimum (uniform u) is the first bound.  With ridge > 0 an active-set
-exchange then closes the gap with the closed-form dual of the epigraph
-program; with ridge = 0, or if the exchange stalls, L(u) at the
-interior-point dual weights does.
+at the interior point's normalized multipliers u, one least-squares solve:
+a convex combination of the rows never exceeds their max.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ class RankDeficiencyError(SolverError):
 class SolverBudgetError(SolverError):
     """No bound that fit_minimax ran closed the certified gap to tolerance.
 
-    The interior point runs once, then, with ridge > 0 only, the active-set
-    exchange (until a clean KKT point or its exchange budget), then the
-    weighted bound L(u) once; the message names the ones that ran.  At
-    ridge 0 no iteration budget is spent.  Carries the best iterate found,
-    with its (still valid) certificate.
+    The interior point runs once and is certified by its own dual; with
+    ridge > 0 only, the active-set exchange then runs until a clean KKT
+    point or its exchange budget.  The message names the phases that ran.
+    At ridge 0 only the interior point runs, so no exchange budget is spent.
+    Carries the best iterate found, with its (still valid) certificate.
     """
 
     def __init__(self, message: str, coefficients: "Coefficients"):
@@ -187,31 +188,24 @@ def fit_ridge(problem: RegressionProblem) -> Coefficients:
 def _weighted_lower_bound(u: np.ndarray, problem: RegressionProblem):
     """Rigorous global lower bound L(u) on the minimax objective.
 
-    L(u) = min_beta sum_i u_i r_i^2 + ridge ||beta||^2 for simplex weights
-    u.  Returns (bound, beta_u) with the bound evaluated at the solved
-    minimizer and corrected by the exact remaining descent of the
-    quadratic, so it stays valid at rounding level.
+    L(u) = min_beta sum_i u_i r_i^2 for simplex weights u, by least squares
+    on the sqrt(u)-weighted rows.  The ridge term is left out, so the bound
+    is tight only at ridge 0, where fit_minimax uses it.  Returns (bound,
+    beta_u): the weighted objective at beta_u in extended precision, less
+    the exact remaining descent of the quadratic, one float64 step down so
+    that rounding cannot lift it.
     """
-    phi, t, lam = problem.features, problem.targets, problem.ridge
-    m = problem.n_features
-    A = phi.T @ (u[:, None] * phi) + lam * np.eye(m)
+    phi, t = problem.features, problem.targets
+    A = phi.T @ (u[:, None] * phi)
     b = phi.T @ (u * t)
-    if lam > 0.0:
-        solve = _solve_spd(A, lam)
-        beta_u = solve(b)
-        beta_u = beta_u + solve(b - A @ beta_u)
-    else:
-        ws = np.sqrt(u)
-        beta_u = np.linalg.lstsq(ws[:, None] * phi, ws * t, rcond=None)[0]
-    r = t - phi @ beta_u
-    val = float(u @ (r * r) + lam * (beta_u @ beta_u))
+    ws = np.sqrt(u)
+    beta_u = np.linalg.lstsq(ws[:, None] * phi, ws * t, rcond=None)[0]
     g = 2.0 * (A @ beta_u - b)
-    if lam > 0.0:
-        corr = 0.25 * float(g @ solve(g))
-    else:
-        d = np.linalg.lstsq(A, g, rcond=None)[0]
-        corr = 0.25 * float(g @ d)
-    return max(val - abs(corr), 0.0), beta_u
+    corr = 0.25 * float(g @ np.linalg.lstsq(A, g, rcond=None)[0])
+    ld = np.longdouble
+    r = t.astype(ld) - phi.astype(ld) @ beta_u.astype(ld)
+    bound = float(u.astype(ld) @ (r * r) - ld(abs(corr)))
+    return max(float(np.nextafter(bound, -np.inf)), 0.0), beta_u
 
 
 def _ipm_epigraph(phi, t, pdiag, beta0, f_scale, max_iter=80):
@@ -323,12 +317,12 @@ def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> C
     ``tolerance`` bounds the certified suboptimality gap; None means 1e-6
     relative to the objective at the warm start (the ridge solution, or the
     least-squares solution when ridge = 0 leaves the normal matrix
-    singular).  The interior-point pass locates the solution.  With
-    ridge > 0 the certificate is then tightened by an active-set exchange
-    on the equality KKT system whose multipliers feed the epigraph dual
-    bound; with ridge = 0, or if the exchange falls short, the bound is
-    L(u) at the interior-point dual weights.  If no bound closes the gap
-    to tolerance, raises SolverBudgetError carrying the best iterate.
+    singular), which also seeds the interior point and stays a candidate
+    iterate.  The interior point is certified by its own multipliers: the
+    closed-form epigraph dual at ridge > 0, L(u) at ridge 0.  With
+    ridge > 0 and the gap still open, an active-set exchange on the equality
+    KKT system tightens both sides.  If the gap stays above tolerance,
+    raises SolverBudgetError carrying the best iterate.
     """
     if tolerance is not None and not tolerance > 0:
         raise ValueError("tolerance must be positive")
@@ -343,10 +337,6 @@ def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> C
     if tolerance is None:
         tolerance = max(1e-6 * f_warm, 1e-15)
 
-    best_beta, best_f = beta_warm, f_warm
-    # the mean-risk optimum lower-bounds the worst-case optimum
-    best_lb = mean_squared_objective(beta_warm, problem)
-
     # scaled epigraph QP: columns equilibrated, beta_scaled = col * beta
     col = np.linalg.norm(phi, axis=0) / np.sqrt(M)
     col[col == 0.0] = 1.0
@@ -356,10 +346,25 @@ def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> C
         phi_s, t, pdiag, beta_warm * col, max(f_warm, 1e-10)
     )
 
+    best_beta, best_f = beta_warm, f_warm
     beta_ipm = x[:m] / col
     f_ipm, _ = evaluate_max_quadratic(beta_ipm, problem)
     if f_ipm < best_f:
         best_beta, best_f = beta_ipm, f_ipm
+
+    # the interior point's multipliers certify its iterate; the constraint
+    # rows are the same in the scaled program, so z carries over
+    if lam > 0.0:
+        rows, sides = np.tile(np.arange(M), 2), np.repeat([1.0, -1.0], M)
+        best_lb = _epigraph_dual_value(problem, rows, sides, z)
+    else:
+        u = z[:M] + z[M:]
+        total = float(np.sum(u))
+        u = u / total if total > 0 else np.full(M, 1.0 / M)
+        best_lb, beta_u = _weighted_lower_bound(u, problem)
+        f_u, _ = evaluate_max_quadratic(beta_u, problem)
+        if f_u < best_f:
+            best_beta, best_f = beta_u, f_u
 
     gaps = {"interior point": best_f - best_lb}
     trace = dict(gaps=gaps, ipm_iterations=iterations, cholesky_retries=retries,
@@ -370,25 +375,14 @@ def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> C
         )
         trace.update(exchange_steps=steps, kkt_inversions=inversions)
         gaps["active-set exchange"] = best_f - best_lb
-    if best_f - best_lb > tolerance:
-        u = z[:M] + z[M:]
-        total = float(np.sum(u))
-        u = u / total if total > 0 else np.full(M, 1.0 / M)
-        lb, beta_u = _weighted_lower_bound(u, problem)
-        best_lb = max(best_lb, lb)
-        f_u, _ = evaluate_max_quadratic(beta_u, problem)
-        if f_u < best_f:
-            best_beta, best_f = beta_u, f_u
-        gaps["weighted bound L(u)"] = best_f - best_lb
 
     certificate = max(best_f - best_lb, 0.0)
     trace["closed_by"] = list(gaps)[-1] if certificate <= tolerance else None
     coeff = Coefficients(best_beta, best_f, certificate, trace)
     if certificate > tolerance:
-        bounds = [f"the {phase}" for phase in gaps]
+        phases = " and ".join(f"the {phase}" for phase in gaps)
         raise SolverBudgetError(
-            f"certified gap {certificate:.3e} above tolerance {tolerance:.3e} "
-            f"after {', '.join(bounds[:-1])} and {bounds[-1]}",
+            f"certified gap {certificate:.3e} above tolerance {tolerance:.3e} after {phases}",
             coeff,
         )
     return coeff
@@ -402,12 +396,13 @@ def _epigraph_dual_value(problem: RegressionProblem, rows, sides, z) -> float:
                + sum_k z_k s_k t_k
 
     Evaluated in extended precision: the first term is a near-cancelling
-    combination whose accuracy decides the certificate quality.
+    combination whose accuracy decides the certificate quality.  einsum
+    casts the rows in buffered blocks, so no long-double copy of them is made.
     """
     phi, t, lam = problem.features, problem.targets, problem.ridge
     zld = z.astype(np.longdouble)
     sld = sides.astype(np.longdouble)
-    w = phi[rows].astype(np.longdouble).T @ (sld * zld)
+    w = np.einsum("k,kj->j", sld * zld, phi[rows])
     zeta = zld.sum()
     lin = (sld * t[rows].astype(np.longdouble)) @ zld
     return float(-(w @ w) / (4 * np.longdouble(lam)) - zeta * zeta / 4 + lin)
@@ -500,7 +495,7 @@ class _WorkingSetKKT:
     trailing row and column pair: adding one borders the inverse, dropping
     one deletes from it, each O(n^2).  Scales are fixed per problem, by two
     max-abs passes with every row active.  The inverse is formed afresh only
-    for the first solve, after a negligible bordering pivot, or when
+    for the first solve, after a negligible pivot in add or drop, or when
     refinement fails to halve the residual; a singular one solves to None.
     """
 
@@ -550,8 +545,11 @@ class _WorkingSetKKT:
         if self._binv is not None:
             b, i = self._binv, self.m + 1 + position
             keep = np.arange(b.shape[0]) != i
-            self._binv = b[np.ix_(keep, keep)]
-            self._binv -= np.outer(b[keep, i] / b[i, i], b[i, keep])
+            col, row, pivot = b[keep, i], b[i, keep], float(b[i, i])
+            # as in add, none is kept if deleting would grow it by over 1e8
+            growth = float(np.max(np.abs(col))) * float(np.max(np.abs(row)))
+            kept = abs(pivot) * float(np.max(np.abs(b))) > 1e-8 * growth
+            self._binv = b[np.ix_(keep, keep)] - np.outer(col / pivot, row) if kept else None
         self.rows = np.delete(self.rows, position)
         self.sides = np.delete(self.sides, position)
 

@@ -298,6 +298,28 @@ class TestEvaluate:
         assert "model has 4 quantiles, config expects 3" in result.output
 
 
+    @pytest.mark.parametrize("scale", [1e100, 1e155])
+    def test_risk_that_overflows_exits_2(self, runner, tmp_path, scale):
+        # the readout at a huge scale overflows: at 1e100 the shape MSE, at
+        # 1e155 both MSEs; no report is written and no numpy warning printed
+        training = {"m_theta": 50, "n_obs": 200, "n_quantiles": 4}
+        fit_cfg, eval_cfg = tmp_path / "fit.json", tmp_path / "eval.json"
+        fit_cfg.write_text(json.dumps({"training": training}))
+        eval_cfg.write_text(json.dumps({
+            "training": {**training, "theta_distribution": {"lower": 1.0, "upper": 1e200}},
+            "eval_points": [[scale, 2.0]],
+            "mc_runs": 20,
+        }))
+        model_path, report_path = tmp_path / "model.txt", tmp_path / "report.csv"
+        fitted = runner.invoke(main, ["fit", "--config", str(fit_cfg), "--out", str(model_path)])
+        assert fitted.exit_code == 0, fitted.output
+        result = run_python("-m", "twostage.cli", "evaluate", "--config", str(eval_cfg),
+                            "--model", str(model_path), "--out", str(report_path))
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith(f"invalid input: mse and efficiency at ({scale:g}, 2)")
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+        assert not report_path.exists()
+
 @pytest.mark.parametrize("command", ["evaluate", "scatter"])
 def test_quantile_count_comes_from_model(runner, tmp_path, command):
     cfg = tiny_config_file(tmp_path)

@@ -231,6 +231,18 @@ class TestScatter:
         assert rewritten in path.read_text()
 
 
+class TestRiskRow:
+    ROW = dict(true_eta=2.0, true_gamma=8.0, crlb_eta=0.5, crlb_gamma=0.25,
+               mse_eta=1.0, mse_gamma=1.0, efficiency_eta=2.0, efficiency_gamma=4.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["mse_eta", "mse_gamma", "efficiency_eta", "efficiency_gamma"])
+    def test_rejects_risk_that_is_not_finite(self, name, value):
+        exp.RiskRow(**self.ROW)
+        with pytest.raises(ValueError, match=r"at \(2, 8\) must be finite and non-negative"):
+            exp.RiskRow(**{**self.ROW, name: value})
+
+
 class TestReports:
     def test_write_read_round_trip(self, tmp_path):
         model = fit_bayes(TINY_TRAIN)

@@ -1,6 +1,7 @@
 """Ridge and minimax second-stage fitters."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from twostage.solvers import (
     _epigraph_dual_value,
     _ipm_epigraph,
     _solve_spd,
+    _weighted_lower_bound,
     evaluate_max_quadratic,
     fit_minimax,
     fit_ridge,
@@ -45,6 +47,31 @@ def random_ridge_problem(rng):
     phi = rng.normal(size=(n_rows, n_feat))
     targets = rng.normal(size=n_rows)
     return RegressionProblem(phi, targets, ridge)
+
+
+def protocol_problem(kind, ridge):
+    """The seed-1 protocol's minimax scale or shape problem at the given ridge."""
+    training_set = generate_training_set(TrainingConfig(seed=SeedSpec(1)))
+    return RegressionProblem(
+        build_feature_matrix(training_set.alphas, kind),
+        training_set.thetas[training_set.parent_index, 0 if kind is FeatureKind.SCALE else 1],
+        ridge,
+    )
+
+
+def repeated_row_problem():
+    """22 distinct rows, each repeated five times in a row, ridge 1e-3."""
+    rng = np.random.default_rng(33)
+    phi, t = rng.normal(size=(110, 30)), 100 * rng.normal(size=110)
+    return RegressionProblem(np.repeat(phi[:22], 5, axis=0), np.repeat(t[:22], 5), 1e-3)
+
+
+def fit_or_best_iterate(problem):
+    """The fit, or the best iterate that its SolverBudgetError carries."""
+    try:
+        return fit_minimax(problem)
+    except SolverBudgetError as err:
+        return err.coefficients
 
 
 class TestProblemValidation:
@@ -200,8 +227,8 @@ class TestFitMinimax:
     def test_budget_error_carries_best_iterate(self):
         rng = np.random.default_rng(5)
         unreachable = RegressionProblem(rng.normal(size=(12, 2)), rng.normal(size=12), 1e-8)
-        # ridge 0 shape fit: the interior point and L(u) leave a gap above
-        # the default tolerance, with no exchange phase to close it
+        # ridge 0 shape fit: the interior point, certified by L(u), leaves a
+        # gap above the default tolerance, with no exchange phase to close it
         config = TrainingConfig(
             m_theta=40, n_obs=120, n_quantiles=4, ridge=0.0, seed=SeedSpec(7)
         )
@@ -211,11 +238,10 @@ class TestFitMinimax:
             training_set.thetas[training_set.parent_index, 1],
             0.0,
         )
-        # each case with the bounds that ran before the error
+        # each case with the phases that ran before the error
         cases = (
-            (unreachable, 1e-300,
-             "the interior point, the active-set exchange and the weighted bound L(u)"),
-            (shape_fit, None, "the interior point and the weighted bound L(u)"),
+            (unreachable, 1e-300, "the interior point and the active-set exchange"),
+            (shape_fit, None, "the interior point"),
         )
         for problem, tolerance, bounds in cases:
             with pytest.raises(SolverBudgetError) as err:
@@ -334,6 +360,67 @@ class TestFitMinimax:
         assert dup.objective == pytest.approx(dedup.objective, rel=1e-9)
         assert dup.certificate <= 1e-6 * dup.objective
 
+    def test_phases_per_ridge_regime(self):
+        # the interior point, certified by its own dual, runs in both
+        # regimes; the exchange only at ridge > 0 and with the gap still open
+        rng = np.random.default_rng(12)
+        problems = [random_small_problem(rng) for _ in range(60)]
+        problems += [
+            protocol_problem(kind, ridge)
+            for kind in (FeatureKind.SCALE, FeatureKind.SHAPE)
+            for ridge in (1e-8, 0.0)
+        ]
+        assert {p.ridge > 0 for p in problems} == {True, False}
+        for problem in problems:
+            phases = list(fit_or_best_iterate(problem).trace["gaps"])
+            if problem.ridge > 0:
+                assert phases in (["interior point"], ["interior point", "active-set exchange"])
+            else:
+                assert phases == ["interior point"]
+
+    def test_repeated_rows_close_at_interior_point(self):
+        # the interior point's dual certifies before any exchange step,
+        # where an exchange over the repeated rows meets singular sets
+        fit = fit_minimax(repeated_row_problem())
+        assert fit.trace["closed_by"] == "interior point"
+        assert fit.trace["exchange_steps"] == 0 and fit.trace["kkt_inversions"] == 0
+
+    @pytest.mark.parametrize("ridge", [1e-8, 0.0])
+    def test_lower_bound_never_above_oracle(self, ridge):
+        # objective - certificate is a lower bound on the optimum, so no
+        # iterate the oracle finds lies below it, up to rounding at the
+        # scale of the squared targets
+        rng = np.random.default_rng(2026)
+        for _ in range(200):
+            drawn = random_small_problem(rng)
+            problem = RegressionProblem(drawn.features, drawn.targets, ridge)
+            fit = fit_or_best_iterate(problem)
+            oracle = minimax_oracle(problem, fit.beta)
+            slack = 1e-15 * (1.0 + float(np.max(problem.targets**2)))
+            assert fit.objective - fit.certificate <= oracle + slack
+
+    def test_weighted_bound_below_its_own_objective(self):
+        # L(u) is a minimum over beta, so it never exceeds the weighted
+        # objective at its own minimizer, evaluated in long double; on
+        # well-posed, rank-deficient and badly scaled ridge-0 problems
+        rng = np.random.default_rng(21)
+        problems = [protocol_problem(FeatureKind.SHAPE, 0.0)]
+        for _ in range(30):
+            M, m = int(rng.integers(1, 200)), int(rng.integers(1, 40))
+            phi = rng.normal(size=(M, m)) * 10.0 ** rng.uniform(-3, 3, size=(M, 1))
+            problems.append(RegressionProblem(phi, rng.normal(size=M) * 10.0, 0.0))
+        for problem in problems:
+            M = problem.n_rows
+            sparse = rng.dirichlet(np.ones(M)) * (rng.random(M) < 0.3)
+            for u in (np.full(M, 1.0 / M), rng.dirichlet(np.ones(M)), sparse):
+                if not u.any():
+                    continue
+                u = u / u.sum()
+                bound, beta_u = _weighted_lower_bound(u, problem)
+                ld = np.longdouble
+                r = problem.targets.astype(ld) - problem.features.astype(ld) @ beta_u.astype(ld)
+                assert ld(bound) <= u.astype(ld) @ (r * r)
+
 
 class TestLinearSolves:
     def test_spd_eigen_fallback_solves_on_range(self):
@@ -418,6 +505,18 @@ class TestWorkingSetKKT:
         else:
             kkt = _WorkingSetKKT(problem, [0, 0], [1.0, 1.0])
         assert kkt.solve() is None
+
+    def test_drop_of_a_zero_pivot_keeps_no_inverse(self):
+        # five copies of one row on one side: the inverse is not flagged as
+        # singular, and deleting a copy meets a zero pivot
+        problem = repeated_row_problem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kkt = _WorkingSetKKT(problem, [74, 51, 53, 50, 54, 52], [-1.0] * 6)
+            assert kkt.solve() is not None
+            kkt.drop(2)
+            sol = kkt.solve()
+        assert sol is None or all(np.all(np.isfinite(part)) for part in sol)
 
     def test_solve_on_badly_scaled_system(self):
         # feature rows and columns scaled over 12 decades around a
