@@ -12,8 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -87,22 +89,21 @@ class TrainingConfig:
             raise ValueError("ridge must be a finite non-negative real")
 
     def fingerprint(self) -> str:
-        """Stable digest of every field, for tagging fitted models."""
-        payload = json.dumps(
-            {
-                "m_theta": self.m_theta,
-                "m_y": self.m_y,
-                "n_obs": self.n_obs,
-                "n_quantiles": self.n_quantiles,
-                "ridge": repr(self.ridge),
-                "kind": self.theta_distribution.kind.value,
-                "lower": repr(self.theta_distribution.lower),
-                "upper": repr(self.theta_distribution.upper),
-                "root_seed": self.seed.root_seed,
-                "stream_index": self.seed.stream_index,
-            },
-            sort_keys=True,
-        )
+        """Stable digest of every field, for tagging fitted models: nested
+        configs flattened by field name, floats by repr, enums by value."""
+
+        def leaves(config):
+            hints = get_type_hints(type(config))
+            for f in fields(config):
+                value, hint = getattr(config, f.name), hints[f.name]
+                if is_dataclass(hint):
+                    yield from leaves(value)
+                elif hint is float:
+                    yield f.name, repr(value)
+                else:
+                    yield f.name, value.value if isinstance(value, Enum) else value
+
+        payload = json.dumps(dict(leaves(self)), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -224,17 +225,18 @@ def fit_from_training_set(
     """Fit both parameter readouts on an existing training set."""
     targets = training_set.thetas[training_set.parent_index]
 
+    fit = solvers.fit_ridge if method == METHOD_BAYES else solvers.fit_minimax
     coeffs = []
     for kind, column in ((FeatureKind.SCALE, 0), (FeatureKind.SHAPE, 1)):
-        problem = solvers.RegressionProblem(
-            features=build_feature_matrix(training_set.alphas, kind),
-            targets=targets[:, column],
-            ridge=ridge,
-        )
-        if method == METHOD_BAYES:
-            coeffs.append(solvers.fit_ridge(problem))
-        else:
-            coeffs.append(solvers.fit_minimax(problem))
+        # features or sums beyond float64 come out infinite or NaN, which
+        # RegressionProblem and Coefficients reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            features = build_feature_matrix(training_set.alphas, kind)
+            try:
+                problem = solvers.RegressionProblem(features, targets[:, column], ridge)
+                coeffs.append(fit(problem))
+            except ValueError as err:
+                raise ValueError(f"the {kind.value} readout overflows float64: {err}") from None
     n_q = training_set.alphas.shape[1]
     return TSModel(
         beta_scale=coeffs[0],
@@ -373,8 +375,6 @@ def load_model(path) -> TSModel:
         raise ValueError(f"{path}: malformed coefficient ({err})") from None
     if len(values) != n_scale + n_shape:
         raise ValueError(f"{path}: expected {n_scale + n_shape} coefficients")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{path}: coefficients must be finite")
     numbers = {
         key: field(key, float)
         for key in ("scale_objective", "scale_certificate", "shape_objective", "shape_certificate")

@@ -6,8 +6,9 @@ emission of the result table and of scatter data (true vs. estimated).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -20,13 +21,6 @@ from .weibull import WeibullParams
 
 TABLE_POINTS = ((2.0, 2.0), (2.0, 8.0), (4.0, 2.0), (4.0, 8.0), (8.0, 2.0), (8.0, 8.0))
 EMIT_KINDS = frozenset({"scatter", "table", "model"})
-
-_TABLE_HEADER = (
-    "method,true_eta,true_gamma,crlb_eta,crlb_gamma,"
-    "mse_eta,mse_gamma,efficiency_eta,efficiency_gamma"
-)
-# the RiskRow field in each column after the method
-_TABLE_COLUMNS = _TABLE_HEADER.split(",")[1:]
 _SCATTER_HEADER = "true_eta,true_gamma,est_eta,est_gamma"
 
 
@@ -61,12 +55,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RiskRow:
+    """One row of a risk table; the fields are its columns, in file order."""
+
     true_eta: float
     true_gamma: float
-    mse_eta: float
-    mse_gamma: float
     crlb_eta: float
     crlb_gamma: float
+    mse_eta: float
+    mse_gamma: float
     efficiency_eta: float
     efficiency_gamma: float
 
@@ -79,6 +75,11 @@ class RiskRow:
             )
         if not (self.crlb_eta > 0 and self.crlb_gamma > 0):
             raise ValueError("crlb must be positive")
+
+
+# the columns of a risk table after the method
+_TABLE_COLUMNS = tuple(f.name for f in fields(RiskRow))
+_TABLE_HEADER = ",".join(("method", *_TABLE_COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -256,7 +257,7 @@ def read_risk_reports(path) -> tuple[RiskReport, ...]:
     reports: list[tuple[str, list[RiskRow]]] = []
     for line in lines[1:]:
         tokens = line.split(",")
-        if len(tokens) != 9:
+        if len(tokens) != 1 + len(_TABLE_COLUMNS):
             raise ValueError(f"{path}: malformed row {line!r}")
         method = tokens[0]
         row = RiskRow(**{name: float(tok) for name, tok in zip(_TABLE_COLUMNS, tokens[1:])})
@@ -266,12 +267,17 @@ def read_risk_reports(path) -> tuple[RiskReport, ...]:
     return tuple(RiskReport(method=m, rows=tuple(rows)) for m, rows in reports)
 
 
-# JSON types of the config fields: the Python types json.loads gives them,
-# and their name in error messages
-_INTEGER = ((int,), "an integer")
-_NUMBER = ((int, float), "a number")
-_STRING = ((str,), "a string")
-_ARRAY = ((list,), "an array")
+# the JSON type of each Python type a config field holds: the Python types
+# json.loads gives it, and its name in error messages
+_JSON_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    PriorKind: ((str,), "a string"),
+    Path: ((str,), "a string"),
+    tuple: ((list,), "an array"),
+    frozenset: ((list,), "an array"),
+}
 _OBJECT = ((dict,), "an object")
 
 
@@ -282,71 +288,43 @@ def _check_type(value, json_type, what: str) -> None:
         raise ValueError(f"{what} must be {name}, got {value!r}")
 
 
+def _field_values(default, data: dict, what: str) -> dict:
+    """The fields of the config dataclass ``default`` that the JSON object
+    ``data`` names, each value type-checked against the field's type.  A
+    field that holds a config dataclass is read the same way, starting from
+    the default's value."""
+    hints = get_type_hints(type(default))
+    unknown = set(data) - {f.name for f in fields(default)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    values = {}
+    for key, value in data.items():
+        nested = is_dataclass(hints[key])
+        _check_type(value, _OBJECT if nested else _JSON_TYPES[hints[key]], f"{what} key {key!r}")
+        if nested:
+            inner = getattr(default, key)
+            value = replace(inner, **_field_values(inner, value, key))
+        values[key] = value
+    return values
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a JSON-style dict mirroring the
+    """Build an ExperimentConfig from a JSON-style dict whose keys are the
     dataclass field names.  A missing field, nested or not, takes its
     default.  Unknown keys and values of the wrong JSON type raise
     ValueError."""
-
-    def take(d, fields: dict, what: str) -> dict:
-        _check_type(d, _OBJECT, what)
-        unknown = set(d) - set(fields)
-        if unknown:
-            raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-        for key, value in d.items():
-            _check_type(value, fields[key], f"{what} key {key!r}")
-        return dict(d)
-
-    data = take(
-        data,
-        {
-            "training": _OBJECT,
-            "eval_points": _ARRAY,
-            "mc_runs": _INTEGER,
-            "output_dir": _STRING,
-            "emit": _ARRAY,
-        },
-        "config",
-    )
-    kwargs: dict = {}
-    if "training" in data:
-        tdata = take(
-            data["training"],
-            {
-                "m_theta": _INTEGER,
-                "m_y": _INTEGER,
-                "n_obs": _INTEGER,
-                "n_quantiles": _INTEGER,
-                "ridge": _NUMBER,
-                "theta_distribution": _OBJECT,
-                "seed": _OBJECT,
-            },
-            "training",
-        )
-        defaults = est.TrainingConfig()
-        if "theta_distribution" in tdata:
-            ddata = take(
-                tdata["theta_distribution"],
-                {"kind": _STRING, "lower": _NUMBER, "upper": _NUMBER},
-                "distribution",
-            )
-            tdata["theta_distribution"] = replace(defaults.theta_distribution, **ddata)
-        if "seed" in tdata:
-            sdata = take(tdata["seed"], {"root_seed": _INTEGER, "stream_index": _INTEGER}, "seed")
-            tdata["seed"] = replace(defaults.seed, **sdata)
-        kwargs["training"] = est.TrainingConfig(**tdata)
-    for point in data.get("eval_points", []):
-        _check_type(point, _ARRAY, "an eval point")
+    _check_type(data, _OBJECT, "config")
+    default = ExperimentConfig()
+    values = _field_values(default, data, "config")
+    for point in values.get("eval_points", []):
+        _check_type(point, _JSON_TYPES[tuple], "an eval point")
         if len(point) != 2:
             raise ValueError(f"an eval point must be [scale, shape], got {point!r}")
         for value in point:
-            _check_type(value, _NUMBER, "an eval point coordinate")
-    for kind in data.get("emit", []):
-        _check_type(kind, _STRING, "an emit kind")
-    for key in ("eval_points", "mc_runs", "output_dir", "emit"):
-        if key in data:
-            kwargs[key] = data[key]
-    return ExperimentConfig(**kwargs)
+            _check_type(value, _JSON_TYPES[float], "an eval point coordinate")
+    for kind in values.get("emit", []):
+        _check_type(kind, _JSON_TYPES[str], "an emit kind")
+    return replace(default, **values)
 
 
 def crlb_inputs_from_dict(data: dict) -> tuple[ExperimentConfig, int]:
@@ -359,7 +337,7 @@ def crlb_inputs_from_dict(data: dict) -> tuple[ExperimentConfig, int]:
         return config, config.training.n_obs
     sizes = {key: training[key] for key in ("n_obs", "n_quantiles") if key in training}
     for key, value in sizes.items():
-        _check_type(value, _INTEGER, f"training key {key!r}")
+        _check_type(value, _JSON_TYPES[int], f"training key {key!r}")
     rest = {key: value for key, value in training.items() if key not in sizes}
     config = config_from_dict({**data, "training": rest})
     return config, sizes.get("n_obs", config.training.n_obs)

@@ -102,8 +102,11 @@ class Coefficients:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        if self.certificate < 0:
-            raise ValueError("certificate must be non-negative")
+        # a fit whose sums overflow float64 ends here, not in a model file
+        if not (np.all(np.isfinite(self.beta)) and np.isfinite(self.objective)):
+            raise ValueError("coefficients and objective must be finite")
+        if not 0 <= self.certificate < np.inf:
+            raise ValueError("certificate must be finite and non-negative")
 
 
 def mean_squared_objective(beta, problem: RegressionProblem) -> float:

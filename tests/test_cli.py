@@ -320,6 +320,54 @@ class TestEvaluate:
         assert "Traceback" not in result.stderr and "Warning" not in result.stderr
         assert not report_path.exists()
 
+
+@pytest.mark.parametrize("args", [["fit", "--method", "bayes"], ["fit", "--method", "minimax"],
+                                  ["reproduce-table1"]])
+@pytest.mark.parametrize("upper, readout", [(1e100, "shape"), (1e200, "scale")])
+def test_fit_that_overflows_exits_2(tmp_path, args, upper, readout):
+    # at 1e100 the shape normal matrix overflows, at 1e200 the scale one; no
+    # fit may hand on coefficients, an objective or a certificate that is not
+    # finite, and no numpy warning is printed
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "training": {"m_theta": 50, "n_obs": 200, "n_quantiles": 4,
+                     "theta_distribution": {"lower": 1.0, "upper": upper}},
+        "eval_points": [[2.0, 2.0]],
+        "mc_runs": 20,
+    }))
+    out = tmp_path / "out"
+    result = run_python("-m", "twostage.cli", *args, "--config", str(cfg), "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith(f"invalid input: the {readout} readout overflows float64")
+    assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+    # --out names the model file of fit and the output directory of the table
+    assert not out.is_file() and not any(out.glob("*"))
+
+
+# a config of each malformed shape and the message naming its key
+MALFORMED_CONFIGS = [
+    ({"eval_points": 5}, "config key 'eval_points' must be an array, got 5"),
+    ({"training": {"theta_distribution": 3}},
+     "training key 'theta_distribution' must be an object, got 3"),
+    ({"training": {"theta_distribution": {"kindx": 1}}},
+     "unknown theta_distribution keys: ['kindx']"),
+    ({"training": {"seed": {"root_seed": True}}},
+     "seed key 'root_seed' must be an integer, got True"),
+    ([1], "config must be an object, got [1]"),
+    ({"emit": "table"}, "config key 'emit' must be an array, got 'table'"),
+]
+
+
+@pytest.mark.parametrize("data, message", MALFORMED_CONFIGS)
+def test_malformed_config_exits_2(runner, tmp_path, data, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(data))
+    result = runner.invoke(main, ["reproduce-table1", "--config", str(cfg),
+                                  "--out", str(tmp_path / "results")])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"invalid input: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["evaluate", "scatter"])
 def test_quantile_count_comes_from_model(runner, tmp_path, command):
     cfg = tiny_config_file(tmp_path)

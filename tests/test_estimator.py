@@ -81,6 +81,11 @@ class TestTrainingConfig:
         assert a.fingerprint() == TrainingConfig(seed=SeedSpec(1)).fingerprint()
         assert a.fingerprint() != b.fingerprint()
 
+    def test_fingerprints_are_pinned(self):
+        # every saved model carries one, so the digested payload must not drift
+        assert TrainingConfig(seed=SeedSpec(1)).fingerprint() == "2328090a71bcc309"
+        assert TrainingConfig().fingerprint() == "bcb0505c35abfd34"
+
 
 class TestGenerateTrainingSet:
     def test_single_pair_composition(self):

@@ -1,8 +1,11 @@
 """Monte-Carlo risk harness, table/scatter emission, and parse-back."""
 
 import errno
-from dataclasses import replace
+import json
+import re
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -80,6 +83,27 @@ class TestConfig:
         assert config.mc_runs == 3
         assert config.emit == frozenset({"table"})
 
+    def test_schema_maps_every_field(self):
+        # a field of a type with no JSON type would fail its user, not a test
+        def leaves(cls):
+            hints = get_type_hints(cls)
+            for f in fields(cls):
+                hint = hints[f.name]
+                yield from leaves(hint) if is_dataclass(hint) else [(cls, f.name, hint)]
+
+        walked = list(leaves(ExperimentConfig))
+        assert {TrainingConfig, PriorSpec, SeedSpec} <= {cls for cls, _, _ in walked}
+        assert [(cls, name) for cls, name, hint in walked if hint not in exp._JSON_TYPES] == []
+        # the fingerprint flattens TrainingConfig by field name
+        names = [name for _, name, _ in leaves(TrainingConfig)]
+        assert len(set(names)) == len(names)
+
+    def test_readme_config_example_loads(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1)
+        config = exp.config_from_dict(json.loads(block))
+        assert config == ExperimentConfig(training=TrainingConfig(seed=SeedSpec(1)))
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             exp.config_from_dict({"mc_run": 3})
@@ -151,7 +175,7 @@ class TestRunMseExperiment:
             run_mse_experiment(other, model)
 
     @pytest.mark.parametrize("block_rows", [1, 3])
-    def test_worker_count_does_not_change_results(self, block_rows, monkeypatch):
+    def test_block_size_does_not_change_results(self, block_rows, monkeypatch):
         # the readout splits the runs into blocks; how many rows a block
         # holds must not change the results
         model = fit_bayes(TINY_TRAIN)

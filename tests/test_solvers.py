@@ -8,6 +8,7 @@ import pytest
 
 from twostage.compression import FeatureKind
 from twostage.estimator import TrainingConfig, build_feature_matrix, generate_training_set
+from twostage.priors import PriorSpec
 from twostage.rng import SeedSpec
 from twostage.solvers import (
     Coefficients,
@@ -86,6 +87,30 @@ class TestProblemValidation:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             RegressionProblem([[1.0, 2.0]], [1.0, 2.0], 0.0)
+
+    @pytest.mark.parametrize("beta, objective, certificate", [
+        ([np.nan], 0.0, 0.0), ([np.inf], 0.0, 0.0), ([1.0], np.nan, 0.0),
+        ([1.0], np.inf, 0.0), ([1.0], 0.0, np.nan), ([1.0], 0.0, np.inf), ([1.0], 0.0, -1.0),
+    ])
+    def test_coefficients_reject_non_finite_fit(self, beta, objective, certificate):
+        Coefficients([1.0], 0.0, 0.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            Coefficients(beta, objective, certificate)
+
+    @pytest.mark.parametrize("fit", [fit_ridge, fit_minimax])
+    def test_fit_whose_sums_overflow_raises(self, fit):
+        # shape features up to 1e200 are finite, their normal matrix is not
+        config = TrainingConfig(m_theta=50, n_obs=200, n_quantiles=4,
+                                theta_distribution=PriorSpec("uniform", 1.0, 1e100))
+        training_set = generate_training_set(config)
+        problem = RegressionProblem(
+            build_feature_matrix(training_set.alphas, FeatureKind.SHAPE),
+            training_set.thetas[:, 1],
+            config.ridge,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="must be finite"):
+                fit(problem)
 
 
 class TestFitRidge:
