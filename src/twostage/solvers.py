@@ -1,8 +1,9 @@
 """Second-stage fitters: mean-squared ridge regression and worst-case
 (minimax) regression over a max of convex quadratics.
 
-Both fitters return an optimality certificate.  Ridge is solved exactly via
-the normal equations (certificate 0); the minimax program
+Both fitters return an optimality certificate.  Ridge is solved exactly
+(certificate 0), by Cholesky on the column-scaled normal matrix refined
+from the features' own residual t - Phi beta; the minimax program
 
     min_beta  max_i (t_i - phi_i . beta)^2  +  ridge * ||beta||^2
 
@@ -136,29 +137,16 @@ def _cholesky_solver(A: np.ndarray):
     return lambda r: linv.T @ (linv @ r)
 
 
-def _solve_spd(A: np.ndarray, lam: float, message: str = "singular system"):
-    """Factor A (SPD up to rounding) and return a solve closure.
-
-    Falls back to a clamped eigendecomposition if Cholesky fails; with
-    lam = 0 a Cholesky failure means genuine rank deficiency.
-    """
-    try:
-        return _cholesky_solver(A)
-    except np.linalg.LinAlgError:
-        if lam == 0.0:
-            raise RankDeficiencyError(message) from None
-        w, v = np.linalg.eigh(A)
-        floor = max(w[-1], 0.0) * np.finfo(float).eps + np.finfo(float).tiny
-        w = np.maximum(w, floor)
-        return lambda r: v @ ((v.T @ r) / w)
-
-
 def fit_ridge(problem: RegressionProblem) -> Coefficients:
     """Minimize (1/M)||t - Phi beta||^2 + ridge ||beta||^2 exactly.
 
-    Solves the m x m normal equations by Cholesky with iterative refinement
-    so the stationarity residual lands at rounding level.  A singular system
-    with ridge = 0 raises RankDeficiencyError.
+    With the columns of Phi scaled to unit 2-norm, the normal matrix is
+    factored by Cholesky once, and three corrections, each solved from the
+    residual of the least-squares problem itself (t - Phi beta, not that of
+    the normal equations), refine the solution to the accuracy of a
+    least-squares solve.  At ridge > 0 a system that is singular to working
+    precision is solved by lstsq on the stacked [Phi; sqrt(M ridge) I];
+    at ridge = 0 it raises RankDeficiencyError.
     """
     phi, t, lam = problem.features, problem.targets, problem.ridge
     M, m = phi.shape
@@ -166,21 +154,27 @@ def fit_ridge(problem: RegressionProblem) -> Coefficients:
         raise RankDeficiencyError(
             f"normal matrix is singular ({M} rows < {m} features); set ridge > 0"
         )
-    A = phi.T @ phi + (M * lam) * np.eye(m)
-    b = phi.T @ t
-    solve = _solve_spd(A, lam, "normal matrix is singular; set ridge > 0")
-    beta = solve(b)
-    best_beta, best_res = beta, np.inf
-    for _ in range(4):
-        r = b - A @ beta
-        res = float(np.linalg.norm(r))
-        if not np.isfinite(res) or res >= best_res:
-            break
-        best_beta, best_res = beta, res
-        if res == 0.0:
-            break
-        beta = beta + solve(r)
-    beta = best_beta
+    # Phi'Phi overflows exactly when a squared column norm does
+    with np.errstate(over="ignore"):
+        col = np.linalg.norm(phi, axis=0)
+    if not np.all(np.isfinite(col)):
+        raise ValueError("feature column norms must be finite")
+    col[col == 0.0] = 1.0
+    phi_s = phi / col
+    root = np.sqrt(M * lam) / col  # the ridge rows, scaled
+    shift = root * root
+    try:
+        solve = _cholesky_solver(phi_s.T @ phi_s + np.diag(shift))
+    except np.linalg.LinAlgError:
+        if lam == 0.0:
+            raise RankDeficiencyError("normal matrix is singular; set ridge > 0") from None
+        stacked = np.vstack([phi_s, np.diag(root)])
+        g = np.linalg.lstsq(stacked, np.concatenate([t, np.zeros(m)]), rcond=None)[0]
+    else:
+        g = solve(phi_s.T @ t)
+        for _ in range(3):
+            g = g + solve(phi_s.T @ (t - phi_s @ g) - shift * g)
+    beta = g / col
     return Coefficients(
         beta=beta,
         objective=mean_squared_objective(beta, problem),

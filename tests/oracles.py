@@ -14,41 +14,43 @@ from twostage.weibull import WeibullParams
 
 
 def minimax_oracle(problem: RegressionProblem, beta_hint: np.ndarray) -> float:
-    """Best objective found by exhaustive grid search plus multi-start
-    Nelder-Mead; independent of the production solver's path."""
+    """Best objective among the hint, an exact convex solve of the epigraph
+    program and a Nelder-Mead polish of that solve; independent of the
+    production solver's path.
+
+    With x = (beta, s) and |t - phi beta| <= s as two blocks of linear rows,
+    ridge 0 is the Chebyshev LP min s (HiGHS), and ridge > 0 the QP
+    min s^2 + ridge ||beta||^2 (SLSQP, scaled to the hint's objective).
+    The polish moves a vertex whose residuals are at rounding level onto
+    residuals that round to zero, where there is one.
+    """
     phi, t, lam = problem.features, problem.targets, problem.ridge
-    m = problem.n_features
+    M, m = phi.shape
+    G = np.block([[-phi, -np.ones((M, 1))], [phi, -np.ones((M, 1))]])
+    h = np.concatenate([-t, t])
+    if lam == 0.0:
+        cost = np.append(np.zeros(m), 1.0)
+        x = scipy.optimize.linprog(cost, A_ub=G, b_ub=h, bounds=(None, None), method="highs").x
+    else:
+        pen = np.append(np.full(m, lam), 1.0)
+        x0 = np.append(beta_hint, np.max(np.abs(t - phi @ beta_hint)))
+        scale = 1.0 / max(float(pen @ (x0 * x0)), np.finfo(float).tiny)
+        x = scipy.optimize.minimize(
+            lambda x: scale * float(pen @ (x * x)),
+            x0,
+            jac=lambda x: 2.0 * scale * pen * x,
+            method="SLSQP",
+            constraints=[dict(type="ineq", fun=lambda x: h - G @ x, jac=lambda x: -G)],
+            options=dict(ftol=1e-16, maxiter=1000),
+        ).x
 
     def fn(beta):
         return evaluate_max_quadratic(beta, problem)[0]
 
-    best = fn(beta_hint)
-    span = 1.0 + float(np.abs(beta_hint).max()) + float(np.abs(t).max())
-    if m == 1:
-        grid = np.linspace(-span, span, 400001)[None, :]
-    elif m == 2:
-        g = np.linspace(-span, span, 401)
-        grid = np.stack(np.meshgrid(g, g), -1).reshape(-1, 2).T
-    else:
-        g = np.linspace(-span, span, 61)
-        grid = np.stack(np.meshgrid(g, g, g), -1).reshape(-1, 3).T
-    r = t[:, None] - phi @ grid
-    vals = (r * r).max(axis=0) + lam * (grid * grid).sum(axis=0)
-    best = min(best, float(vals.min()))
-
-    rng = np.random.default_rng(0)
-    starts = [beta_hint]
-    starts += [beta_hint + rng.normal(size=m) for _ in range(8)]
-    starts += [rng.normal(size=m) * span / 3 for _ in range(8)]
-    for start in starts:
-        res = scipy.optimize.minimize(
-            fn,
-            start,
-            method="Nelder-Mead",
-            options=dict(xatol=1e-10, fatol=1e-12, maxiter=4000),
-        )
-        best = min(best, float(res.fun))
-    return best
+    polish = scipy.optimize.minimize(
+        fn, x[:m], method="Nelder-Mead", options=dict(xatol=1e-10, fatol=1e-12, maxiter=4000)
+    )
+    return min(fn(beta_hint), fn(x[:m]), float(polish.fun))
 
 
 def random_small_problem(rng: np.random.Generator) -> RegressionProblem:

@@ -196,7 +196,7 @@ def test_criterion_5_minimax_solver_vs_oracle():
             cert_violations += 1
     report(
         5,
-        "minimax objective within 1e-3 of grid+multistart oracle, certificate sound",
+        "minimax objective within 1e-3 of the exact LP/QP oracle, certificate sound",
         worst_rel <= 1e-3 and cert_violations == 0,
         f"(worst rel dev {worst_rel:.2e}, certificate violations {cert_violations})",
     )

@@ -581,10 +581,11 @@ class TestEstimate:
         assert "model.txt" in result.output and "shape_objective" in result.output
 
 
-def run_python(*args):
-    """Run a fresh interpreter on this checkout's sources with ``args``."""
+def run_python(*args, **environ):
+    """Run a fresh interpreter on this checkout's sources with ``args``,
+    adding ``environ`` to the environment."""
     src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )

@@ -18,7 +18,6 @@ from twostage.solvers import (
     _WorkingSetKKT,
     _epigraph_dual_value,
     _ipm_epigraph,
-    _solve_spd,
     _weighted_lower_bound,
     evaluate_max_quadratic,
     fit_minimax,
@@ -27,6 +26,7 @@ from twostage.solvers import (
 )
 
 from oracles import minimax_oracle, random_small_problem
+from test_cli import run_python
 
 
 def stationarity_residual(problem, beta):
@@ -50,14 +50,36 @@ def random_ridge_problem(rng):
     return RegressionProblem(phi, targets, ridge)
 
 
-def protocol_problem(kind, ridge):
-    """The seed-1 protocol's minimax scale or shape problem at the given ridge."""
-    training_set = generate_training_set(TrainingConfig(seed=SeedSpec(1)))
+def training_problem(config, kind):
+    """The scale or shape problem of the training set that ``config`` draws."""
+    training_set = generate_training_set(config)
     return RegressionProblem(
         build_feature_matrix(training_set.alphas, kind),
         training_set.thetas[training_set.parent_index, 0 if kind is FeatureKind.SCALE else 1],
-        ridge,
+        config.ridge,
     )
+
+
+def protocol_problem(kind, ridge, prior="uniform"):
+    """The seed-1 protocol's scale or shape problem under the given prior
+    (uniform: the minimax and Bayes/uniform fits) at the given ridge."""
+    dist = PriorSpec(prior, 1.0, 20.0)
+    return training_problem(TrainingConfig(ridge=ridge, theta_distribution=dist, seed=SeedSpec(1)), kind)
+
+
+# a training range so wide that the shape features reach 1e200
+WIDE_RANGE = TrainingConfig(m_theta=50, n_obs=200, n_quantiles=4,
+                            theta_distribution=PriorSpec("uniform", 1.0, 1e100))
+
+
+def stacked_least_squares(problem):
+    """The ridge solution by lstsq on [Phi; sqrt(M ridge) I], columns scaled
+    to unit norm: the reference that never forms the normal matrix."""
+    phi, t = problem.features, problem.targets
+    M, m = phi.shape
+    col = np.linalg.norm(phi, axis=0)
+    stacked = np.vstack([phi / col, np.diag(np.sqrt(M * problem.ridge) / col)])
+    return np.linalg.lstsq(stacked, np.concatenate([t, np.zeros(m)]), rcond=None)[0] / col
 
 
 def repeated_row_problem():
@@ -100,14 +122,7 @@ class TestProblemValidation:
     @pytest.mark.parametrize("fit", [fit_ridge, fit_minimax])
     def test_fit_whose_sums_overflow_raises(self, fit):
         # shape features up to 1e200 are finite, their normal matrix is not
-        config = TrainingConfig(m_theta=50, n_obs=200, n_quantiles=4,
-                                theta_distribution=PriorSpec("uniform", 1.0, 1e100))
-        training_set = generate_training_set(config)
-        problem = RegressionProblem(
-            build_feature_matrix(training_set.alphas, FeatureKind.SHAPE),
-            training_set.thetas[:, 1],
-            config.ridge,
-        )
+        problem = training_problem(WIDE_RANGE, FeatureKind.SHAPE)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="must be finite"):
                 fit(problem)
@@ -167,6 +182,58 @@ class TestFitRidge:
                     - mean_squared_objective(fit.beta - h * d, problem)
                 ) / (2 * h)
                 assert abs(deriv) <= 1e-6
+
+    @pytest.mark.parametrize("prior", ["uniform", "reciprocal"])
+    def test_protocol_shape_fit_is_the_least_squares_solution(self, prior):
+        # the ridge fit is the least-squares solution of [Phi; sqrt(M ridge) I]
+        # with the columns scaled; solving the normal equations alone squares
+        # Phi's condition number (2.8e8) and misses it by up to 1.3e-4
+        problem = protocol_problem(FeatureKind.SHAPE, 1e-8, prior)
+        reference = stacked_least_squares(problem)
+        beta = fit_ridge(problem).beta
+        assert np.linalg.norm(beta - reference) <= 1e-7 * np.linalg.norm(reference)
+
+    def test_bayes_fit_is_alike_at_one_and_two_blas_threads(self):
+        code = (
+            "import json; from twostage.estimator import TrainingConfig, fit_bayes; "
+            "from twostage.rng import SeedSpec; "
+            "model = fit_bayes(TrainingConfig(seed=SeedSpec(1))); "
+            "print(json.dumps([model.beta_scale.beta.tolist(), model.beta_shape.beta.tolist()]))"
+        )
+        fits = []
+        for threads in ("1", "2"):
+            result = run_python("-c", code, OPENBLAS_NUM_THREADS=threads)
+            assert result.returncode == 0, result.stderr
+            fits.append([np.array(beta) for beta in json.loads(result.stdout)])
+        for one, two in zip(*fits):
+            assert np.linalg.norm(one - two) <= 1e-8 * np.linalg.norm(one)
+
+    def test_overflowing_column_norm_raises_without_warning(self):
+        # finite features whose normal matrix is not: before, a clamped
+        # eigendecomposition returned beta = [0, 1.5] with objective 0.167,
+        # where beta = [1e-200, 0] fits exactly
+        problem = RegressionProblem([[1e200, 1.0], [2e200, 1.0], [3e200, 2.0]], [1.0, 2.0, 3.0], 1e-8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="must be finite"):
+                fit_ridge(problem)
+
+    def test_singular_scaled_system_solves_by_least_squares(self):
+        # the scale problem of the wide range: its scaled normal matrix is
+        # singular to working precision (smallest singular value of the
+        # scaled features 7e-33), so Cholesky fails at ridge > 0
+        problem = training_problem(WIDE_RANGE, FeatureKind.SCALE)
+        phi, col = problem.features, np.linalg.norm(problem.features, axis=0)
+        ridge_rows = np.diag(problem.n_rows * problem.ridge / col**2)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky((phi / col).T @ (phi / col) + ridge_rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = fit_ridge(problem)
+        reference = mean_squared_objective(stacked_least_squares(problem), problem)
+        assert fit.objective == pytest.approx(reference, rel=1e-12)
+        # the fit is exact to rounding: the residual is 1e-16 of the targets
+        assert fit.objective <= 1e-30 * float(np.mean(problem.targets**2))
 
     def test_duplicated_rows_leave_fit_unchanged(self):
         rng = np.random.default_rng(3)
@@ -445,26 +512,6 @@ class TestFitMinimax:
                 ld = np.longdouble
                 r = problem.targets.astype(ld) - problem.features.astype(ld) @ beta_u.astype(ld)
                 assert ld(bound) <= u.astype(ld) @ (r * r)
-
-
-class TestLinearSolves:
-    def test_spd_eigen_fallback_solves_on_range(self):
-        # a random SPD block beside the all-ones 2 x 2 block, rows permuted:
-        # Cholesky meets an exactly zero pivot, so the ridge > 0 path falls
-        # back to the clamped eigendecomposition
-        rng = np.random.default_rng(11)
-        g = rng.normal(size=(6, 4))
-        A = np.zeros((6, 6))
-        A[:4, :4] = g.T @ g + np.eye(4)
-        A[4:, 4:] = 1.0
-        perm = rng.permutation(6)
-        A = A[np.ix_(perm, perm)]
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(A)
-        b = A @ rng.normal(size=6)
-        x = _solve_spd(A, lam=1e-8)(b)
-        assert np.all(np.isfinite(x))
-        np.testing.assert_allclose(A @ x, b, rtol=0, atol=1e-12 * np.linalg.norm(b))
 
 
 def kkt_system(problem, rows, sides):
