@@ -223,10 +223,25 @@ def fit_from_training_set(
     config_fingerprint: str = "",
 ) -> TSModel:
     """Fit both parameter readouts on an existing training set."""
-    targets = training_set.thetas[training_set.parent_index]
+    (model,) = fit_methods(training_set, ridge, (method,), config_fingerprint)
+    return model
 
-    fit = solvers.fit_ridge if method == METHOD_BAYES else solvers.fit_minimax
-    coeffs = []
+
+def fit_methods(
+    training_set: TrainingSet,
+    ridge: float,
+    methods: tuple[str, ...],
+    config_fingerprint: str = "",
+) -> tuple[TSModel, ...]:
+    """One model per method, all fitted on one training set: the methods
+    share its feature matrices, and the minimax fit's ridge warm start is
+    the Bayes fit of the same problem, solved once."""
+    fits = {METHOD_BAYES: solvers.fit_ridge, METHOD_MINIMAX: solvers.fit_minimax}
+    unknown = [method for method in methods if method not in fits]
+    if unknown:
+        raise ValueError(f"unknown method {unknown[0]!r}")
+    targets = training_set.thetas[training_set.parent_index]
+    coeffs = {method: [] for method in methods}
     for kind, column in ((FeatureKind.SCALE, 0), (FeatureKind.SHAPE, 1)):
         # features or sums beyond float64 come out infinite or NaN, which
         # RegressionProblem and Coefficients reject
@@ -234,16 +249,20 @@ def fit_from_training_set(
             features = build_feature_matrix(training_set.alphas, kind)
             try:
                 problem = solvers.RegressionProblem(features, targets[:, column], ridge)
-                coeffs.append(fit(problem))
+                for method in methods:
+                    coeffs[method].append(fits[method](problem))
             except ValueError as err:
                 raise ValueError(f"the {kind.value} readout overflows float64: {err}") from None
     n_q = training_set.alphas.shape[1]
-    return TSModel(
-        beta_scale=coeffs[0],
-        beta_shape=coeffs[1],
-        n_quantiles=n_q,
-        method=method,
-        config_fingerprint=config_fingerprint,
+    return tuple(
+        TSModel(
+            beta_scale=coeffs[method][0],
+            beta_shape=coeffs[method][1],
+            n_quantiles=n_q,
+            method=method,
+            config_fingerprint=config_fingerprint,
+        )
+        for method in methods
     )
 
 

@@ -112,17 +112,37 @@ def scatter_draws(config: ExperimentConfig) -> np.ndarray:
     return est.dataset_draws(config.training, (est.SCATTER_STREAM, 2), config.training.m_theta)
 
 
+def evaluation_quantiles(config: ExperimentConfig) -> np.ndarray:
+    """Compressed vectors of the evaluation datasets, shaped (points,
+    mc_runs, n_quantiles): the runs at point p simulated from that point's
+    parameters with the draws of evaluation_draws.  They do not depend on
+    the model, so any number of rules can be scored on one set."""
+    train, ones = config.training, np.ones(config.mc_runs)
+    draws = evaluation_draws(config)
+    return np.stack(
+        [
+            est.simulated_quantiles(train, draws[p], eta * ones, gam * ones)
+            for p, (eta, gam) in enumerate(config.eval_points)
+        ]
+    )
+
+
 def run_mse_experiment(
     config: ExperimentConfig,
     model: est.TSModel,
     label: str | None = None,
     keep_errors: bool = False,
+    *,
+    quantiles: np.ndarray | None = None,
 ) -> RiskReport:
     """Estimate the rule's MSE at each eval point from fresh simulations.
 
     Every point has its own sub-stream under the training seed, disjoint
     from the training streams, whose rows are the runs, so results are
     reproducible and a longer run extends a shorter one run-for-run.
+    ``quantiles`` are the datasets' compressed vectors, evaluation_quantiles
+    of the config, made here unless a caller that scores several rules
+    passes them.
     """
     train = config.training
     if model.n_quantiles != train.n_quantiles:
@@ -130,13 +150,15 @@ def run_mse_experiment(
             f"model has {model.n_quantiles} quantiles, config expects "
             f"{train.n_quantiles}"
         )
-    draws = evaluation_draws(config)
+    if quantiles is None:
+        quantiles = evaluation_quantiles(config)
+    shape = (len(config.eval_points), config.mc_runs, train.n_quantiles)
+    if quantiles.shape != shape:
+        raise ValueError(f"evaluation quantiles must be shaped {shape}, got {quantiles.shape}")
     rows = []
     all_errors = []
-    ones = np.ones(config.mc_runs)
-    for p_idx, (eta, gam) in enumerate(config.eval_points):
+    for (eta, gam), alphas in zip(config.eval_points, quantiles):
         bound_eta, bound_gamma = crlb(WeibullParams(eta, gam), train.n_obs)
-        alphas = est.simulated_quantiles(train, draws[p_idx], eta * ones, gam * ones)
         # an overflow leaves an MSE that is not finite, which RiskRow rejects
         with np.errstate(over="ignore", invalid="ignore"):
             errors = est.estimate_from_quantiles(model, alphas) - (eta, gam)
@@ -168,26 +190,37 @@ def reproduce_table(config: ExperimentConfig) -> tuple[RiskReport, RiskReport, R
 
     Each rule is fitted, evaluated and scattered exactly as on its own; the
     streams do not depend on the prior, so all three read the same simulated
-    datasets.  Emits the combined table (and per-method models/scatter
-    files) into output_dir according to config.emit.
+    datasets, which are made once per call.  Bayes/uniform and minimax fit
+    one training set together.  Emits the combined table (and per-method
+    models/scatter files) into output_dir according to config.emit.
     """
     base = config.training
-    variants = (
-        ("bayes-uniform", est.fit_bayes, PriorKind.UNIFORM),
-        ("bayes-reciprocal", est.fit_bayes, PriorKind.RECIPROCAL),
-        ("minimax", est.fit_minimax, PriorKind.UNIFORM),
-    )
     out = config.output_dir
     if config.emit:
         out.mkdir(parents=True, exist_ok=True)
 
+    lower, upper = base.theta_distribution.lower, base.theta_distribution.upper
+    uniform, reciprocal = (
+        replace(base, theta_distribution=PriorSpec(kind, lower, upper))
+        for kind in (PriorKind.UNIFORM, PriorKind.RECIPROCAL)
+    )
+    bayes_uniform, minimax = est.fit_methods(
+        est.generate_training_set(uniform),
+        base.ridge,
+        (est.METHOD_BAYES, est.METHOD_MINIMAX),
+        uniform.fingerprint(),
+    )
+    rules = (
+        ("bayes-uniform", bayes_uniform, uniform),
+        ("bayes-reciprocal", est.fit_bayes(reciprocal), reciprocal),
+        ("minimax", minimax, uniform),
+    )
+
+    quantiles = evaluation_quantiles(config)
     reports = []
-    for label, fit, kind in variants:
-        dist = PriorSpec(kind, base.theta_distribution.lower, base.theta_distribution.upper)
-        training = replace(base, theta_distribution=dist)
+    for label, model, training in rules:
         sub_config = replace(config, training=training)
-        model = fit(training)
-        reports.append(run_mse_experiment(sub_config, model, label))
+        reports.append(run_mse_experiment(sub_config, model, label, quantiles=quantiles))
         if "model" in config.emit:
             est.save_model(model, out / f"model_{label}.txt")
         if "scatter" in config.emit:

@@ -8,13 +8,17 @@ from the features' own residual t - Phi beta; the minimax program
     min_beta  max_i (t_i - phi_i . beta)^2  +  ridge * ||beta||^2
 
 is solved by a primal-dual interior-point iteration on its epigraph form,
-and the reported certificate is a rigorous global suboptimality bound: the
-best objective found minus a Lagrange dual value, which any multipliers
-z >= 0 give (weak duality).  At ridge > 0 the dual of the epigraph program
-has a closed form, evaluated at the interior point's own multipliers; if
-that leaves the gap open, an active-set exchange closes it with the same
-closed form at its working-set multipliers.  At ridge 0 the closed form
-does not exist, and the bound is
+run in the coordinates that the ridge fit's Cholesky factor whitens: there
+the ridge normal matrix Phi'Phi/M + ridge I is the identity, so the
+iteration needs no diagonal shift and stops at the optimum on the paper's
+ill-conditioned shape map.  The reported certificate is a rigorous global
+suboptimality bound in the original coordinates: the best objective found
+minus a Lagrange dual value, which any multipliers z >= 0 give (weak
+duality).  At ridge > 0 the dual of the epigraph program has a closed form,
+evaluated at the interior point's own multipliers; if that leaves the gap
+open, an active-set exchange closes it with the same closed form at its
+working-set multipliers.  At ridge 0 the closed form does not exist, and
+the bound is
 
     L(u) = min_beta  sum_i u_i (t_i - phi_i . beta)^2
 
@@ -25,6 +29,7 @@ a convex combination of the rows never exceeds their max.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +88,11 @@ class RegressionProblem:
     def n_features(self) -> int:
         return self.features.shape[1]
 
+    @cached_property
+    def _ridge(self):
+        # solved on first use and kept for the life of the problem
+        return _solve_ridge(self)
+
 
 @dataclass(frozen=True)
 class Coefficients:
@@ -126,17 +136,6 @@ def evaluate_max_quadratic(beta, problem: RegressionProblem) -> tuple[float, int
     return float(q[idx]), idx
 
 
-def _cholesky_solver(A: np.ndarray):
-    """Factor A = L L' once and return the solve r -> A^-1 r.
-
-    numpy has no triangular solve, so L is inverted once and every solve is
-    two matrix-vector products.  Raises LinAlgError unless A is positive
-    definite to working precision.
-    """
-    linv = np.linalg.inv(np.linalg.cholesky(A))
-    return lambda r: linv.T @ (linv @ r)
-
-
 def fit_ridge(problem: RegressionProblem) -> Coefficients:
     """Minimize (1/M)||t - Phi beta||^2 + ridge ||beta||^2 exactly.
 
@@ -146,8 +145,26 @@ def fit_ridge(problem: RegressionProblem) -> Coefficients:
     the normal equations), refine the solution to the accuracy of a
     least-squares solve.  At ridge > 0 a system that is singular to working
     precision is solved by lstsq on the stacked [Phi; sqrt(M ridge) I];
-    at ridge = 0 it raises RankDeficiencyError.
+    at ridge = 0 it raises RankDeficiencyError.  A problem is solved once:
+    fit_ridge and the warm start of fit_minimax share the solution and its
+    factor.
     """
+    return problem._ridge[0]
+
+
+@dataclass(frozen=True)
+class _RidgeFactor:
+    """L L' = Phi_s'Phi_s + diag(M ridge / col^2), the column-scaled ridge
+    normal matrix with Phi_s = Phi / col, col the columns' 2-norms."""
+
+    col: np.ndarray
+    lower: np.ndarray
+    inverse: np.ndarray  # L^-1: numpy has no triangular solve
+
+
+def _solve_ridge(problem: RegressionProblem):
+    """fit_ridge's coefficients and the _RidgeFactor it solved with, None
+    where the system went to lstsq."""
     phi, t, lam = problem.features, problem.targets, problem.ridge
     M, m = phi.shape
     if lam == 0.0 and M < m:
@@ -164,22 +181,27 @@ def fit_ridge(problem: RegressionProblem) -> Coefficients:
     root = np.sqrt(M * lam) / col  # the ridge rows, scaled
     shift = root * root
     try:
-        solve = _cholesky_solver(phi_s.T @ phi_s + np.diag(shift))
+        lower = np.linalg.cholesky(phi_s.T @ phi_s + np.diag(shift))
     except np.linalg.LinAlgError:
         if lam == 0.0:
             raise RankDeficiencyError("normal matrix is singular; set ridge > 0") from None
         stacked = np.vstack([phi_s, np.diag(root)])
         g = np.linalg.lstsq(stacked, np.concatenate([t, np.zeros(m)]), rcond=None)[0]
+        factor = None
     else:
+        linv = np.linalg.inv(lower)
+
+        def solve(r):
+            return linv.T @ (linv @ r)
+
         g = solve(phi_s.T @ t)
         for _ in range(3):
             g = g + solve(phi_s.T @ (t - phi_s @ g) - shift * g)
+        factor = _RidgeFactor(col, lower, linv)
     beta = g / col
-    return Coefficients(
-        beta=beta,
-        objective=mean_squared_objective(beta, problem),
-        certificate=0.0,
-    )
+    beta.flags.writeable = False  # shared by every fit of the problem
+    coeff = Coefficients(beta=beta, objective=mean_squared_objective(beta, problem), certificate=0.0)
+    return coeff, factor
 
 
 def _weighted_lower_bound(u: np.ndarray, problem: RegressionProblem):
@@ -205,14 +227,18 @@ def _weighted_lower_bound(u: np.ndarray, problem: RegressionProblem):
     return max(float(np.nextafter(bound, -np.inf)), 0.0), beta_u
 
 
-def _ipm_epigraph(phi, t, pdiag, beta0, f_scale, max_iter=80):
+def _ipm_epigraph(phi, t, P, beta0, f_scale, max_iter=80):
     """Interior-point iteration for min 0.5 x'Px  s.t. |t_i - phi_i.b| <= tau.
 
-    x = (b, tau) with P = diag(pdiag); Mehrotra predictor-corrector on the
-    KKT system, reduced to one dense (m+1) x (m+1) solve per direction.
-    Returns (x, z, iterations, shift retries) with z >= 0 the multipliers of
-    the 2M constraint rows, r_i = t_i - phi_i.b: the block r_i <= tau (side
-    +1) first, then -r_i <= tau (side -1), as h = [-t, t] orders them.
+    x = (b, tau) with P a dense symmetric positive semidefinite matrix;
+    Mehrotra predictor-corrector on the KKT system, reduced to one dense
+    (m+1) x (m+1) system per iteration.  A Cholesky factorization tests that
+    system for positive definiteness, its diagonal shifted until it factors,
+    and an LU solve gives each direction: at m = 165 two solves cost less
+    than inverting the factor.  Returns (x, z, iterations, shift retries)
+    with z >= 0 the multipliers of the 2M constraint rows, r_i = t_i -
+    phi_i.b: the block r_i <= tau (side +1) first, then -r_i <= tau (side
+    -1), as h = [-t, t] orders them.
     """
     M, m = phi.shape
     x = np.empty(m + 1)
@@ -239,7 +265,7 @@ def _ipm_epigraph(phi, t, pdiag, beta0, f_scale, max_iter=80):
     # Cholesky shift: each iteration starts one step below the last shift
     # that factored, so a system that needs a shift (P singular at ridge 0)
     # costs one retry per iteration, not a climb from delta0
-    delta0 = 1e-12 * (1.0 + float(np.max(pdiag)))
+    delta0 = 1e-12 * (1.0 + float(np.max(np.diag(P))))
     delta_ok = delta0
     iterations = retries = 0
     for _ in range(max_iter):
@@ -253,18 +279,31 @@ def _ipm_epigraph(phi, t, pdiag, beta0, f_scale, max_iter=80):
 
         w = z / s
         lo, hi = w[:M], w[M:]
+        weighted = np.sqrt(lo + hi)[:, None] * phi
         Hfull = np.empty((m + 1, m + 1))
-        Hfull[:m, :m] = phi.T @ ((lo + hi)[:, None] * phi)
+        Hfull[:m, :m] = weighted.T @ weighted  # one symmetric rank-k update
         border = phi.T @ (lo - hi)
         Hfull[:m, m] = border
         Hfull[m, :m] = border
         Hfull[m, m] = float(np.sum(lo + hi))
-        Hfull[np.diag_indices(m + 1)] += pdiag
+        Hfull += P
+
+        def kkt_solve(K, extra):
+            # Newton direction for complementarity target s*z + extra -> 0
+            rhs = -(P @ x) - gt_apply(w * rp) + gt_apply(extra / s)
+            dx = np.linalg.solve(K, rhs)
+            ds = -rp - g_apply(dx)
+            dz = -(s * z + extra) / s - w * ds
+            return dx, ds, dz
 
         delta = max(delta0, delta_ok / 100.0)
         while True:
+            K = Hfull + delta * np.eye(m + 1)
             try:
-                solve = _cholesky_solver(Hfull + delta * np.eye(m + 1))
+                np.linalg.cholesky(K)  # the positive-definite test
+                # LU can still meet a zero pivot that Cholesky rounded past;
+                # once it factors, the corrector's solve repeats its pivots
+                dx_a, ds_a, dz_a = kkt_solve(K, np.zeros(2 * M))
                 break
             except np.linalg.LinAlgError:
                 retries += 1
@@ -273,22 +312,12 @@ def _ipm_epigraph(phi, t, pdiag, beta0, f_scale, max_iter=80):
                     raise
         delta_ok = delta
 
-        def kkt_solve(extra):
-            # Newton direction for complementarity target s*z + extra -> 0
-            rhs = -(pdiag * x) - gt_apply(w * rp) + gt_apply(extra / s)
-            dx = solve(rhs)
-            ds = -rp - g_apply(dx)
-            dz = -(s * z + extra) / s - w * ds
-            return dx, ds, dz
-
-        zero = np.zeros(2 * M)
-        dx_a, ds_a, dz_a = kkt_solve(zero)
         alpha_p = _max_step(s, ds_a)
         alpha_d = _max_step(z, dz_a)
         mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / (2 * M)
         sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.1
 
-        dx, ds, dz = kkt_solve(ds_a * dz_a - sigma * mu)
+        dx, ds, dz = kkt_solve(K, ds_a * dz_a - sigma * mu)
         alpha_p = 0.99 * _max_step(s, ds)
         alpha_d = 0.99 * _max_step(z, dz)
         if max(alpha_p, alpha_d) < 1e-10:
@@ -315,11 +344,14 @@ def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> C
     relative to the objective at the warm start (the ridge solution, or the
     least-squares solution when ridge = 0 leaves the normal matrix
     singular), which also seeds the interior point and stays a candidate
-    iterate.  The interior point is certified by its own multipliers: the
-    closed-form epigraph dual at ridge > 0, L(u) at ridge 0.  With
-    ridge > 0 and the gap still open, an active-set exchange on the equality
-    KKT system tightens both sides.  If the gap stays above tolerance,
-    raises SolverBudgetError carrying the best iterate.
+    iterate.  The interior point runs in gamma = L' diag(col) beta, with
+    L L' the Cholesky factor of the column-scaled ridge normal matrix that
+    the warm start solved with, or in the scaled beta alone where that
+    solve had no factor.  Its iterate is read back as beta and certified by
+    its own multipliers: the closed-form epigraph dual at ridge > 0, L(u) at
+    ridge 0.  With ridge > 0 and the gap still open, an active-set exchange
+    on the equality KKT system tightens both sides.  If the gap stays above
+    tolerance, raises SolverBudgetError carrying the best iterate.
     """
     if tolerance is not None and not tolerance > 0:
         raise ValueError("tolerance must be positive")
@@ -327,30 +359,38 @@ def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> C
     M, m = phi.shape
 
     try:
-        beta_warm = fit_ridge(problem).beta
+        ridge_fit, factor = problem._ridge
+        beta_warm = ridge_fit.beta
     except RankDeficiencyError:
-        beta_warm = np.linalg.lstsq(phi, t, rcond=None)[0]
+        beta_warm, factor = np.linalg.lstsq(phi, t, rcond=None)[0], None
     f_warm, _ = evaluate_max_quadratic(beta_warm, problem)
     if tolerance is None:
         tolerance = max(1e-6 * f_warm, 1e-15)
 
-    # scaled epigraph QP: columns equilibrated, beta_scaled = col * beta
-    col = np.linalg.norm(phi, axis=0) / np.sqrt(M)
-    col[col == 0.0] = 1.0
-    phi_s = phi / col
-    pdiag = np.concatenate([2.0 * lam / (col * col), [2.0]])
+    # the epigraph QP in coordinates beta = T gamma, T = diag(1/col) L^-T,
+    # in which Phi'Phi/M + ridge I, the ridge normal matrix, is the identity
+    if factor is not None:
+        col, lower, linv = factor.col / np.sqrt(M), factor.lower, factor.inverse
+    else:  # only the columns equilibrated
+        col = np.linalg.norm(phi, axis=0) / np.sqrt(M)
+        col[col == 0.0] = 1.0
+        lower = linv = np.eye(m)
+    T = linv.T / col[:, None]
+    P = np.zeros((m + 1, m + 1))
+    P[:m, :m] = 2.0 * lam * (T.T @ T)
+    P[m, m] = 2.0
     x, z, iterations, retries = _ipm_epigraph(
-        phi_s, t, pdiag, beta_warm * col, max(f_warm, 1e-10)
+        phi @ T, t, P, lower.T @ (col * beta_warm), max(f_warm, 1e-10)
     )
 
     best_beta, best_f = beta_warm, f_warm
-    beta_ipm = x[:m] / col
+    beta_ipm = T @ x[:m]
     f_ipm, _ = evaluate_max_quadratic(beta_ipm, problem)
     if f_ipm < best_f:
         best_beta, best_f = beta_ipm, f_ipm
 
     # the interior point's multipliers certify its iterate; the constraint
-    # rows are the same in the scaled program, so z carries over
+    # rows are the same in either coordinates, so z carries over
     if lam > 0.0:
         rows, sides = np.tile(np.arange(M), 2), np.repeat([1.0, -1.0], M)
         best_lb = _epigraph_dual_value(problem, rows, sides, z)

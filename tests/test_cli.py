@@ -242,12 +242,12 @@ class TestFit:
         assert result.exit_code == 3
 
     def test_minimax_solver_failure_exits_3(self, runner, tmp_path):
-        # the ridge-0 shape fit cannot be certified to tolerance
+        # the 5-row scale fit cannot be certified to tolerance
         cfg = tiny_config_file(tmp_path)
         result = runner.invoke(
             main,
-            ["fit", "--config", str(cfg), "--method", "minimax", "--ridge", "0",
-             "--m-theta", "40"],
+            ["fit", "--config", str(cfg), "--method", "minimax", "--seed", "1",
+             "--m-theta", "5"],
         )
         assert result.exit_code == 3
         assert "solver failure" in result.output

@@ -174,6 +174,18 @@ class TestRunMseExperiment:
         with pytest.raises(ValueError):
             run_mse_experiment(other, model)
 
+    def test_shared_quantiles_give_the_same_rows(self):
+        # a caller scoring several rules passes one set of evaluation
+        # quantiles; they must be the config's own
+        model = fit_bayes(TINY_TRAIN)
+        config = tiny_config()
+        shared = exp.evaluation_quantiles(config)
+        assert run_mse_experiment(config, model, quantiles=shared).rows == (
+            run_mse_experiment(config, model).rows
+        )
+        with pytest.raises(ValueError, match="evaluation quantiles must be shaped"):
+            run_mse_experiment(config, model, quantiles=shared[:, :3])
+
     @pytest.mark.parametrize("block_rows", [1, 3])
     def test_block_size_does_not_change_results(self, block_rows, monkeypatch):
         # the readout splits the runs into blocks; how many rows a block

@@ -319,21 +319,14 @@ class TestFitMinimax:
     def test_budget_error_carries_best_iterate(self):
         rng = np.random.default_rng(5)
         unreachable = RegressionProblem(rng.normal(size=(12, 2)), rng.normal(size=12), 1e-8)
-        # ridge 0 shape fit: the interior point, certified by L(u), leaves a
-        # gap above the default tolerance, with no exchange phase to close it
-        config = TrainingConfig(
-            m_theta=40, n_obs=120, n_quantiles=4, ridge=0.0, seed=SeedSpec(7)
-        )
-        training_set = generate_training_set(config)
-        shape_fit = RegressionProblem(
-            build_feature_matrix(training_set.alphas, FeatureKind.SHAPE),
-            training_set.thetas[training_set.parent_index, 1],
-            0.0,
-        )
+        # a 5-row scale fit: the interior point and the exchange both stop
+        # near 1e-13 of gap, above the default tolerance of about 1e-14
+        config = TrainingConfig(m_theta=5, n_obs=120, n_quantiles=4, seed=SeedSpec(1))
+        scale_fit = training_problem(config, FeatureKind.SCALE)
         # each case with the phases that ran before the error
         cases = (
             (unreachable, 1e-300, "the interior point and the active-set exchange"),
-            (shape_fit, None, "the interior point"),
+            (scale_fit, None, "the interior point and the active-set exchange"),
         )
         for problem, tolerance, bounds in cases:
             with pytest.raises(SolverBudgetError) as err:
@@ -393,8 +386,9 @@ class TestFitMinimax:
         assert values[1] <= values[2] + 1e-9
 
     def test_trace_of_protocol_shape_fit(self):
-        # seed-1 protocol shape problem: the exchange closes the gap from
-        # one kept KKT inverse, with at most one fallback inversion
+        # seed-1 protocol shape problem: in the coordinates that whiten the
+        # ridge normal matrix the interior point closes the gap by itself,
+        # with no Cholesky shift and no exchange
         config = TrainingConfig(seed=SeedSpec(1))
         training_set = generate_training_set(config)
         problem = RegressionProblem(
@@ -407,14 +401,32 @@ class TestFitMinimax:
         tolerance = 1e-6 * evaluate_max_quadratic(fit_ridge(problem).beta, problem)[0]
         assert fit.certificate <= tolerance
         gaps = trace["gaps"]
-        assert list(gaps) == ["interior point", "active-set exchange"]
-        assert trace["closed_by"] == "active-set exchange"
-        assert gaps["interior point"] > tolerance >= gaps["active-set exchange"]
-        assert trace["ipm_iterations"] > 0 and trace["exchange_steps"] > 0
-        assert 1 <= trace["kkt_inversions"] <= 2
+        assert list(gaps) == ["interior point"]
+        assert trace["closed_by"] == "interior point"
+        assert gaps["interior point"] <= tolerance
+        assert trace["ipm_iterations"] > 0 and trace["cholesky_retries"] == 0
+        assert trace["exchange_steps"] == 0 and trace["kkt_inversions"] == 0
         assert json.loads(json.dumps(trace)) == trace
         # the trace takes no part in comparison
         assert fit == Coefficients(fit.beta, fit.objective, fit.certificate)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            TrainingConfig(ridge=0.0, seed=SeedSpec(1)),
+            # square: 30 rows and 30 shape columns, a nearly singular factor
+            TrainingConfig(m_theta=30, n_obs=120, n_quantiles=4, ridge=0.0, seed=SeedSpec(7)),
+        ],
+        ids=["protocol", "square"],
+    )
+    def test_ridge_zero_shape_fit_certifies(self, config):
+        problem = training_problem(config, FeatureKind.SHAPE)
+        fit = fit_minimax(problem)
+        assert fit.trace["closed_by"] == "interior point"
+        assert fit.certificate <= 1e-6 * evaluate_max_quadratic(fit_ridge(problem).beta, problem)[0]
+        # objective - certificate is a global lower bound
+        value, _ = evaluate_max_quadratic(fit.beta, problem)
+        assert value == pytest.approx(fit.objective)
 
     def test_ipm_multipliers_lead_with_side_plus_one(self):
         # the first M multipliers belong to r_i <= tau, the last M to
@@ -423,8 +435,8 @@ class TestFitMinimax:
         rng = np.random.default_rng(6)
         M, m, lam = 20, 3, 1e-2
         problem = RegressionProblem(rng.normal(size=(M, m)), rng.normal(size=M), lam)
-        pdiag = np.append(np.full(m, 2.0 * lam), 2.0)
-        x, z, _, _ = _ipm_epigraph(problem.features, problem.targets, pdiag, np.zeros(m), 1.0)
+        P = np.diag(np.append(np.full(m, 2.0 * lam), 2.0))
+        x, z, _, _ = _ipm_epigraph(problem.features, problem.targets, P, np.zeros(m), 1.0)
         primal = lam * float(x[:m] @ x[:m]) + float(x[m]) ** 2
         rows = np.tile(np.arange(M), 2)
         plus_first = np.repeat([1.0, -1.0], M)
