@@ -8,13 +8,16 @@ sorted_quantiles(order_statistics(y), n) computes it.  Two feature maps read
 it out: the scale map appends quantile ratios to the raw quantiles, and the
 shape map takes the distinct monomials up to order 2 (including the
 constant) of the quantiles and their ratios against the top quantile,
-3n(n+1)/2 columns in all.
+3n(n+1)/2 columns in all.  The fits build both maps; applying a fitted rule
+reads each row out of one basis buffer, readout_basis, which holds the
+scale features and the shape basis u that the shape map's monomials are
+the distinct pairwise products of.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -69,19 +72,28 @@ class QuantilePlan:
     # two-sided lerp, which keeps accuracy at extreme fractions
     gather: np.ndarray = field(init=False, repr=False)
     step: np.ndarray = field(init=False, repr=False)
+    # the same gather from the whole sorted sample, ranks[gather]
+    sample_gather: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         far = self.frac > 0.5
         near = np.where(far, self.upper, self.lower)
-        object.__setattr__(self, "gather", np.concatenate([self.lower, self.upper, near]))
+        gather = np.concatenate([self.lower, self.upper, near])
+        object.__setattr__(self, "gather", gather)
         object.__setattr__(self, "step", np.where(far, self.frac - 1.0, self.frac))
+        object.__setattr__(self, "sample_gather", self.ranks[gather])
 
     def quantiles(self, stats) -> np.ndarray:
         """Sample quantiles along the last axis of ``stats``, which holds
         each sample's order statistics at ``ranks``.  The result is in C
         order."""
+        return self.interpolate(np.take(stats, self.gather, axis=-1))
+
+    def interpolate(self, ends) -> np.ndarray:
+        """Sample quantiles from ``ends``, the gathered order statistics
+        along the last axis: ``stats[..., gather]``, or the sorted sample at
+        ``sample_gather``."""
         n = self.frac.size
-        ends = np.take(stats, self.gather, axis=-1)
         lower, upper = ends[..., :n], ends[..., n : 2 * n]
         raw = ends[..., 2 * n :] + self.step * (upper - lower)
         # the true quantile lies in [lower, upper]; clamp away rounding overshoot
@@ -107,8 +119,8 @@ def quantile_plan(n_obs: int, n: int) -> QuantilePlan:
     hi = np.minimum(lo + 1, n_obs - 1)
     ranks, index = np.unique(np.concatenate([lo, hi]), return_inverse=True)
     plan = QuantilePlan(ranks, index[:n], index[n:], frac)
-    for array in (plan.ranks, plan.lower, plan.upper, plan.frac, plan.gather, plan.step):
-        array.flags.writeable = False
+    for f in fields(plan):
+        getattr(plan, f.name).flags.writeable = False
     return plan
 
 
@@ -124,7 +136,17 @@ def validate_quantiles(values) -> None:
 def sorted_quantiles(ys, n: int) -> np.ndarray:
     """Quantiles at p = k/n for k = 1..n of a sample already sorted ascending."""
     plan = quantile_plan(ys.size, n)
-    return plan.quantiles(ys[plan.ranks])
+    # indexing, not np.take: its dispatch costs more than a 1-D gather
+    return plan.interpolate(ys[plan.sample_gather])
+
+
+def check_ratio_pivots(alphas: np.ndarray) -> None:
+    """Raise DegenerateInputError unless every row of a quantile matrix has
+    a non-zero first and top quantile, the divisors of the ratios."""
+    if not alphas[:, 0].all():
+        raise DegenerateInputError("first quantile is zero; ratio features undefined")
+    if not alphas[:, -1].all():
+        raise DegenerateInputError("top quantile is zero; ratio features undefined")
 
 
 def scale_features(alphas: np.ndarray) -> np.ndarray:
@@ -151,6 +173,27 @@ def shape_basis(alphas: np.ndarray) -> np.ndarray:
     u[:, 1 : n + 1] = alphas
     np.divide(alphas[:, : n - 1], top, out=u[:, n + 1 :])
     return u
+
+
+def readout_basis(alphas: np.ndarray) -> np.ndarray:
+    """scale_features(alphas) and shape_basis(alphas) side by side in one
+    C-order buffer of 4n-1 columns, bit for bit: [:2n-1] holds the scale
+    features, [2n-1:] the shape basis u, so a row of either is a
+    unit-stride slice.
+
+    The rows are not checked here: a one-row block spends as long on a
+    check as on a ratio block.  They must pass check_ratio_pivots, which
+    the readout's callers apply where the rows enter.
+    """
+    rows, n = alphas.shape
+    w = scale_feature_len(n)
+    out = np.empty((rows, w + 2 * n))
+    out[:, :n] = alphas
+    np.divide(alphas[:, 1:], alphas[:, :1], out=out[:, n:w])
+    out[:, w] = 1.0
+    out[:, w + 1 : w + n + 1] = alphas
+    np.divide(alphas[:, : n - 1], alphas[:, n - 1 :], out=out[:, w + n + 1 :])
+    return out
 
 
 def shape_features(alphas: np.ndarray) -> np.ndarray:

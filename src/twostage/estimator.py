@@ -23,11 +23,12 @@ from . import solvers
 from ._files import write_text_atomic
 from .compression import (
     FeatureKind,
+    check_ratio_pivots,
     order_statistics,
     quantile_plan,
+    readout_basis,
     scale_feature_len,
     scale_features,
-    shape_basis,
     shape_feature_len,
     shape_features,
     shape_form,
@@ -300,10 +301,11 @@ def estimate(model: TSModel, y) -> tuple[float, float]:
     # NaN sorts last, so the extremes decide for the whole sample
     if not (ys[0] > 0.0 and ys[-1] < math.inf):
         raise ValueError("observations must be positive and finite")
-    # quantiles of positive, finite, sorted data pass validate_quantiles
+    # quantiles of positive, finite, sorted data pass validate_quantiles and
+    # check_ratio_pivots
     alpha = sorted_quantiles(ys, model.n_quantiles)
-    eta_hat, gamma_hat = _read_out(model, alpha[None])[0]
-    return float(eta_hat), float(gamma_hat)
+    eta_hat, gamma_hat = _read_out(model, alpha[None])[0].tolist()
+    return eta_hat, gamma_hat
 
 
 def estimate_from_quantiles(model: TSModel, alphas) -> np.ndarray:
@@ -314,20 +316,26 @@ def estimate_from_quantiles(model: TSModel, alphas) -> np.ndarray:
         raise ValueError(
             f"model has {model.n_quantiles} quantiles, rows have {alphas.shape[1]}"
         )
+    check_ratio_pivots(alphas)
     return _read_out(model, alphas)
 
 
 def _read_out(model: TSModel, alphas: np.ndarray) -> np.ndarray:
+    """The (scale, shape) estimates of quantile rows that have passed
+    validate_quantiles and check_ratio_pivots."""
     beta_scale, form = model.beta_scale.beta, model.shape_form
+    width = beta_scale.size
     out = np.empty((alphas.shape[0], 2))
     for start in range(0, alphas.shape[0], _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        block = alphas[rows]
-        out[rows, 0] = np.vecdot(scale_features(block), beta_scale)
+        # one basis buffer per block: the scale features, then the shape
+        # basis u, each row of either a unit-stride slice
+        basis = readout_basis(alphas[rows])
+        np.vecdot(basis[:, :width], beta_scale, out=out[rows, 0])
         # u'Qu as one dot per (row, j) in a fixed order, not u @ Q: a row
         # then reads out bit for bit alike alone and in any batch
-        u = shape_basis(block)
-        out[rows, 1] = np.vecdot(u, np.vecdot(u[:, None, :], form))
+        u = basis[:, width:]
+        np.vecdot(u, np.vecdot(u[:, None, :], form), out=out[rows, 1])
     return out
 
 

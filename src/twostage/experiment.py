@@ -112,6 +112,22 @@ def scatter_draws(config: ExperimentConfig) -> np.ndarray:
     return est.dataset_draws(config.training, (est.SCATTER_STREAM, 2), config.training.m_theta)
 
 
+def scatter_datasets(
+    config: ExperimentConfig, draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scatter datasets' true parameters and compressed vectors:
+    (true_eta, true_gamma, alphas), the parameters drawn from the training
+    distribution on the sub-streams (SCATTER_STREAM, 0) and (SCATTER_STREAM,
+    1), the datasets simulated from them with ``draws``, which are
+    scatter_draws of the config.  Rules trained under one distribution
+    share them."""
+    train = config.training
+    dist, seed, m = train.theta_distribution, train.seed, train.m_theta
+    true_eta = prior_inverse_cdf(stream(seed, est.SCATTER_STREAM, 0).random(m), dist)
+    true_gamma = prior_inverse_cdf(stream(seed, est.SCATTER_STREAM, 1).random(m), dist)
+    return true_eta, true_gamma, est.simulated_quantiles(train, draws, true_eta, true_gamma)
+
+
 def evaluation_quantiles(config: ExperimentConfig) -> np.ndarray:
     """Compressed vectors of the evaluation datasets, shaped (points,
     mc_runs, n_quantiles): the runs at point p simulated from that point's
@@ -191,8 +207,9 @@ def reproduce_table(config: ExperimentConfig) -> tuple[RiskReport, RiskReport, R
     Each rule is fitted, evaluated and scattered exactly as on its own; the
     streams do not depend on the prior, so all three read the same simulated
     datasets, which are made once per call.  Bayes/uniform and minimax fit
-    one training set together.  Emits the combined table (and per-method
-    models/scatter files) into output_dir according to config.emit.
+    one training set together and share their scatter datasets.  Emits the
+    combined table (and per-method models/scatter files) into output_dir
+    according to config.emit.
     """
     base = config.training
     out = config.output_dir
@@ -217,6 +234,11 @@ def reproduce_table(config: ExperimentConfig) -> tuple[RiskReport, RiskReport, R
     )
 
     quantiles = evaluation_quantiles(config)
+    scatter = {}
+    if "scatter" in config.emit:
+        draws = scatter_draws(config)
+        for training in (uniform, reciprocal):
+            scatter[training] = scatter_datasets(replace(config, training=training), draws)
     reports = []
     for label, model, training in rules:
         sub_config = replace(config, training=training)
@@ -224,7 +246,7 @@ def reproduce_table(config: ExperimentConfig) -> tuple[RiskReport, RiskReport, R
         if "model" in config.emit:
             est.save_model(model, out / f"model_{label}.txt")
         if "scatter" in config.emit:
-            emit_scatter(model, sub_config, label=label)
+            emit_scatter(model, sub_config, label, datasets=scatter[training])
     if "table" in config.emit:
         write_risk_reports(reports, out / "table1.csv")
     return tuple(reports)
@@ -234,29 +256,28 @@ def emit_scatter(
     model: est.TSModel,
     config: ExperimentConfig,
     label: str | None = None,
+    *,
+    datasets: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Path:
     """Simulate fresh parameter draws, estimate them, and write the scatter
     rows (true_eta, true_gamma, est_eta, est_gamma) behind the method's
-    true-vs-estimated plots.  The file is replaced atomically; returns its
-    path."""
-    train = config.training
-    if model.n_quantiles != train.n_quantiles:
+    true-vs-estimated plots.  ``datasets`` are the true parameters and
+    compressed vectors, scatter_datasets of the config, made here unless a
+    caller that scatters several rules passes them.  The file is replaced
+    atomically; returns its path."""
+    if model.n_quantiles != config.training.n_quantiles:
         raise ValueError("model/config n_quantiles mismatch")
-    dist, seed, m = train.theta_distribution, train.seed, train.m_theta
-
-    true_eta = prior_inverse_cdf(stream(seed, est.SCATTER_STREAM, 0).random(m), dist)
-    true_gamma = prior_inverse_cdf(stream(seed, est.SCATTER_STREAM, 1).random(m), dist)
-    alphas = est.simulated_quantiles(train, scatter_draws(config), true_eta, true_gamma)
+    if datasets is None:
+        datasets = scatter_datasets(config, scatter_draws(config))
+    true_eta, true_gamma, alphas = datasets
     estimates = est.estimate_from_quantiles(model, alphas)
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     path = config.output_dir / f"scatter_{label if label else model.method}.csv"
+    # Python floats format faster than numpy scalars, to the same digits
+    rows = np.column_stack((true_eta, true_gamma, estimates)).tolist()
     lines = [_SCATTER_HEADER]
-    for i in range(m):
-        lines.append(
-            f"{true_eta[i]:.17g},{true_gamma[i]:.17g},"
-            f"{estimates[i, 0]:.17g},{estimates[i, 1]:.17g}"
-        )
+    lines.extend(f"{a:.17g},{b:.17g},{c:.17g},{d:.17g}" for a, b, c, d in rows)
     return write_text_atomic(path, "\n".join(lines) + "\n")
 
 

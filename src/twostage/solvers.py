@@ -268,6 +268,11 @@ def _ipm_epigraph(phi, t, P, beta0, f_scale, max_iter=80):
     delta0 = 1e-12 * (1.0 + float(np.max(np.diag(P))))
     delta_ok = delta0
     iterations = retries = 0
+    # per-iteration buffers: the weighted rows, the system and its shifted copy
+    weighted = np.empty_like(phi)
+    Hfull = np.empty((m + 1, m + 1))
+    K = np.empty_like(Hfull)
+    K_diag = K.reshape(-1)[:: m + 2]  # a view of K's diagonal
     for _ in range(max_iter):
         rp = g_apply(x) + s - h
         mu = float(s @ z) / (2 * M)
@@ -279,31 +284,32 @@ def _ipm_epigraph(phi, t, P, beta0, f_scale, max_iter=80):
 
         w = z / s
         lo, hi = w[:M], w[M:]
-        weighted = np.sqrt(lo + hi)[:, None] * phi
-        Hfull = np.empty((m + 1, m + 1))
+        np.multiply(np.sqrt(lo + hi)[:, None], phi, out=weighted)
         Hfull[:m, :m] = weighted.T @ weighted  # one symmetric rank-k update
         border = phi.T @ (lo - hi)
         Hfull[:m, m] = border
         Hfull[m, :m] = border
         Hfull[m, m] = float(np.sum(lo + hi))
         Hfull += P
+        # the right-hand side both directions share
+        rhs0 = -(P @ x) - gt_apply(w * rp)
 
-        def kkt_solve(K, extra):
+        def kkt_solve(extra):
             # Newton direction for complementarity target s*z + extra -> 0
-            rhs = -(P @ x) - gt_apply(w * rp) + gt_apply(extra / s)
-            dx = np.linalg.solve(K, rhs)
+            dx = np.linalg.solve(K, rhs0 + gt_apply(extra / s))
             ds = -rp - g_apply(dx)
             dz = -(s * z + extra) / s - w * ds
             return dx, ds, dz
 
         delta = max(delta0, delta_ok / 100.0)
         while True:
-            K = Hfull + delta * np.eye(m + 1)
+            np.copyto(K, Hfull)
+            K_diag += delta
             try:
                 np.linalg.cholesky(K)  # the positive-definite test
                 # LU can still meet a zero pivot that Cholesky rounded past;
                 # once it factors, the corrector's solve repeats its pivots
-                dx_a, ds_a, dz_a = kkt_solve(K, np.zeros(2 * M))
+                dx_a, ds_a, dz_a = kkt_solve(np.zeros(2 * M))
                 break
             except np.linalg.LinAlgError:
                 retries += 1
@@ -317,7 +323,7 @@ def _ipm_epigraph(phi, t, P, beta0, f_scale, max_iter=80):
         mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / (2 * M)
         sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.1
 
-        dx, ds, dz = kkt_solve(K, ds_a * dz_a - sigma * mu)
+        dx, ds, dz = kkt_solve(ds_a * dz_a - sigma * mu)
         alpha_p = 0.99 * _max_step(s, ds)
         alpha_d = 0.99 * _max_step(z, dz)
         if max(alpha_p, alpha_d) < 1e-10:

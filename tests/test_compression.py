@@ -9,8 +9,10 @@ from twostage import DegenerateInputError, SeedSpec, WeibullParams, order_statis
 from twostage.compression import (
     QuantilePlan,
     quantile_plan,
+    readout_basis,
     scale_feature_len,
     scale_features,
+    shape_basis,
     shape_feature_len,
     shape_features,
     sorted_quantiles,
@@ -295,3 +297,16 @@ class TestFeatureShape:
         assert distinct.shape[1] == shape_feature_len(alphas.shape[1])
         match = np.isclose(full[:, :, None], distinct[:, None, :], rtol=1e-13, atol=0.0)
         assert match.all(axis=0).any(axis=1).all()
+
+
+class TestReadoutBasis:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_slices_are_the_two_maps_bit_for_bit(self, n):
+        # at n = 1 both ratio blocks are empty
+        rng = np.random.default_rng(n)
+        alphas = np.sort(rng.weibull(1.5, (40, n)) * 10.0 ** rng.uniform(-3, 3, (40, 1)), axis=1)
+        basis = readout_basis(alphas)
+        assert basis.shape == (40, 4 * n - 1) and basis.flags.c_contiguous
+        width = scale_feature_len(n)
+        np.testing.assert_array_equal(basis[:, :width], scale_features(alphas))
+        np.testing.assert_array_equal(basis[:, width:], shape_basis(alphas))

@@ -379,6 +379,10 @@ class TestQuadraticFormReadout:
         error = np.abs(estimate_from_quantiles(model, alphas)[:, 1] - reference).astype(float)
         assert np.all(error <= 1e-15 * np.abs(phi * beta).sum(axis=1))
 
+    def test_zero_first_quantile_is_degenerate(self):
+        with pytest.raises(DegenerateInputError, match="first quantile is zero"):
+            estimate_from_quantiles(random_model(3, 0), [[0.0, 1.0, 2.0]])
+
     def test_zero_top_quantile_is_degenerate(self):
         model = random_model(3, 0)
         # a non-zero first quantile passes the scale map's check

@@ -422,12 +422,14 @@ class TestReproduceTable:
             assert alone.read_bytes() == (out / f"model_{label}.txt").read_bytes(), label
 
     def test_scatter_equals_standalone_emit_scatter(self, outputs, tmp_path):
+        # the table shares its scatter datasets between Bayes/uniform and
+        # minimax; each rule scattered on its own must give the same file
         out, config, _ = outputs
-        model = est.load_model(out / "model_bayes-reciprocal.txt")
-        training = replace(
-            config.training, theta_distribution=PriorSpec("reciprocal", 1.0, 20.0)
-        )
-        path = emit_scatter(
-            model, replace(config, training=training, output_dir=tmp_path), "bayes-reciprocal"
-        )
-        assert path.read_bytes() == (out / "scatter_bayes-reciprocal.csv").read_bytes()
+        kinds = {"bayes-uniform": "uniform", "bayes-reciprocal": "reciprocal", "minimax": "uniform"}
+        for label, kind in kinds.items():
+            model = est.load_model(out / f"model_{label}.txt")
+            training = replace(config.training, theta_distribution=PriorSpec(kind, 1.0, 20.0))
+            path = emit_scatter(
+                model, replace(config, training=training, output_dir=tmp_path), label
+            )
+            assert path.read_bytes() == (out / f"scatter_{label}.csv").read_bytes(), label
