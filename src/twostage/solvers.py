@@ -10,15 +10,16 @@ from the features' own residual t - Phi beta; the minimax program
 is solved by a primal-dual interior-point iteration on its epigraph form,
 run in the coordinates that the ridge fit's Cholesky factor whitens: there
 the ridge normal matrix Phi'Phi/M + ridge I is the identity, so the
-iteration needs no diagonal shift and stops at the optimum on the paper's
-ill-conditioned shape map.  The reported certificate is a rigorous global
-suboptimality bound in the original coordinates: the best objective found
-minus a Lagrange dual value, which any multipliers z >= 0 give (weak
-duality).  At ridge > 0 the dual of the epigraph program has a closed form,
-evaluated at the interior point's own multipliers; if that leaves the gap
-open, an active-set exchange closes it with the same closed form at its
-working-set multipliers.  At ridge 0 the closed form does not exist, and
-the bound is
+iteration needs no diagonal shift on the paper's ill-conditioned shape map.
+It stops once its duality measure is a hundredth of the tolerance it must
+certify.  The reported certificate is a rigorous global suboptimality
+bound in the original coordinates: the best objective found minus a
+Lagrange dual value, which any multipliers z >= 0 give (weak duality).  At
+ridge > 0 the dual of the epigraph program has a closed form, evaluated at
+the interior point's own multipliers; if rounding leaves the gap open, an
+active-set exchange, which solves each working set's KKT system afresh,
+closes it with the same closed form at its working-set multipliers.  At
+ridge 0 the closed form does not exist, and the bound is
 
     L(u) = min_beta  sum_i u_i (t_i - phi_i . beta)^2
 
@@ -45,11 +46,13 @@ class RankDeficiencyError(SolverError):
 class SolverBudgetError(SolverError):
     """No bound that fit_minimax ran closed the certified gap to tolerance.
 
-    The interior point runs once and is certified by its own dual; with
-    ridge > 0 only, the active-set exchange then runs until a clean KKT
-    point or its exchange budget.  The message names the phases that ran.
-    At ridge 0 only the interior point runs, so no exchange budget is spent.
-    Carries the best iterate found, with its (still valid) certificate.
+    The interior point runs once, until its duality measure is a hundredth
+    of the tolerance or it can make no more progress, and is certified by
+    its own dual; with ridge > 0 only, the active-set exchange then runs
+    until a clean KKT point or its exchange budget.  The message names the
+    phases that ran.  At ridge 0 only the interior point runs, so no
+    exchange budget is spent.  Carries the best iterate found, with its
+    (still valid) certificate.
     """
 
     def __init__(self, message: str, coefficients: "Coefficients"):
@@ -101,9 +104,10 @@ class Coefficients:
 
     ``trace`` is what fit_minimax did, as plain data: ``gaps`` maps each
     phase that ran, in order, to the gap after it; ``closed_by`` names the
-    phase that met the tolerance (None if none did); and it counts
-    ``ipm_iterations``, ``cholesky_retries``, ``exchange_steps`` and
-    ``kkt_inversions``.  Not compared, and not saved with a model.
+    phase that met the tolerance (None if none did); ``ipm_gaps`` lists the
+    interior point's duality measure s'z after each of its iterations; and
+    it counts ``ipm_iterations``, ``cholesky_retries`` and
+    ``exchange_steps``.  Not compared, and not saved with a model.
     """
 
     beta: np.ndarray
@@ -227,7 +231,7 @@ def _weighted_lower_bound(u: np.ndarray, problem: RegressionProblem):
     return max(float(np.nextafter(bound, -np.inf)), 0.0), beta_u
 
 
-def _ipm_epigraph(phi, t, P, beta0, f_scale, max_iter=80):
+def _ipm_epigraph(phi, t, P, beta0, f_scale, tolerance, max_iter=80):
     """Interior-point iteration for min 0.5 x'Px  s.t. |t_i - phi_i.b| <= tau.
 
     x = (b, tau) with P a dense symmetric positive semidefinite matrix;
@@ -235,10 +239,20 @@ def _ipm_epigraph(phi, t, P, beta0, f_scale, max_iter=80):
     (m+1) x (m+1) system per iteration.  A Cholesky factorization tests that
     system for positive definiteness, its diagonal shifted until it factors,
     and an LU solve gives each direction: at m = 165 two solves cost less
-    than inverting the factor.  Returns (x, z, iterations, shift retries)
-    with z >= 0 the multipliers of the 2M constraint rows, r_i = t_i -
-    phi_i.b: the block r_i <= tau (side +1) first, then -r_i <= tau (side
-    -1), as h = [-t, t] orders them.
+    than inverting the factor.
+
+    It stops once the residuals and the duality measure mu = s'z / 2M are
+    at rounding level and s'z is at most tolerance / 100, so that the gap
+    the caller certifies is closed with room for the rounding of its bound.
+    Past the first iterate at rounding level, steps on nearly collinear
+    columns can still shrink s'z while the objective or the bound that the
+    caller evaluates gets worse, so that iterate is kept beside the last.
+
+    Returns (iterates, gaps, shift retries): iterates holds those one or
+    two (x, z) pairs, z >= 0 the multipliers of the 2M constraint rows,
+    r_i = t_i - phi_i.b, the block r_i <= tau (side +1) first, then
+    -r_i <= tau (side -1), as h = [-t, t] orders them; gaps holds s'z
+    after each iteration.
     """
     M, m = phi.shape
     x = np.empty(m + 1)
@@ -267,7 +281,7 @@ def _ipm_epigraph(phi, t, P, beta0, f_scale, max_iter=80):
     # costs one retry per iteration, not a climb from delta0
     delta0 = 1e-12 * (1.0 + float(np.max(np.diag(P))))
     delta_ok = delta0
-    iterations = retries = 0
+    retries, sz, gaps, iterates = 0, float(s @ z), [], []
     # per-iteration buffers: the weighted rows, the system and its shifted copy
     weighted = np.empty_like(phi)
     Hfull = np.empty((m + 1, m + 1))
@@ -275,12 +289,15 @@ def _ipm_epigraph(phi, t, P, beta0, f_scale, max_iter=80):
     K_diag = K.reshape(-1)[:: m + 2]  # a view of K's diagonal
     for _ in range(max_iter):
         rp = g_apply(x) + s - h
-        mu = float(s @ z) / (2 * M)
+        mu = sz / (2 * M)
         if (
             mu <= 1e-13 * (1.0 + f_scale)
             and float(np.max(np.abs(rp))) <= 1e-11 * (1.0 + float(np.max(np.abs(h))))
         ):
-            break
+            if not iterates:
+                iterates.append((x, z))  # the first at rounding level
+            if sz <= tolerance / 100.0:
+                break
 
         w = z / s
         lo, hi = w[:M], w[M:]
@@ -331,8 +348,11 @@ def _ipm_epigraph(phi, t, P, beta0, f_scale, max_iter=80):
         x = x + alpha_p * dx
         s = s + alpha_p * ds
         z = z + alpha_d * dz
-        iterations += 1
-    return x, z, iterations, retries
+        sz = float(s @ z)
+        gaps.append(sz)
+    if not iterates or iterates[0][0] is not x:
+        iterates.append((x, z))  # the last, where it is not the first
+    return iterates, gaps, retries
 
 
 def _max_step(v, dv):
@@ -353,11 +373,13 @@ def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> C
     iterate.  The interior point runs in gamma = L' diag(col) beta, with
     L L' the Cholesky factor of the column-scaled ridge normal matrix that
     the warm start solved with, or in the scaled beta alone where that
-    solve had no factor.  Its iterate is read back as beta and certified by
-    its own multipliers: the closed-form epigraph dual at ridge > 0, L(u) at
-    ridge 0.  With ridge > 0 and the gap still open, an active-set exchange
-    on the equality KKT system tightens both sides.  If the gap stays above
-    tolerance, raises SolverBudgetError carrying the best iterate.
+    solve had no factor, and stops once its duality measure is below
+    tolerance / 100.  Each iterate it returns is read back as beta and
+    certified by its own multipliers: the closed-form epigraph dual at
+    ridge > 0, L(u) at ridge 0.  With ridge > 0 and the gap still open, an
+    active-set exchange on the equality KKT system tightens both sides.  If
+    the gap stays above tolerance, raises SolverBudgetError carrying the
+    best iterate.
     """
     if tolerance is not None and not tolerance > 0:
         raise ValueError("tolerance must be positive")
@@ -385,38 +407,38 @@ def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> C
     P = np.zeros((m + 1, m + 1))
     P[:m, :m] = 2.0 * lam * (T.T @ T)
     P[m, m] = 2.0
-    x, z, iterations, retries = _ipm_epigraph(
-        phi @ T, t, P, lower.T @ (col * beta_warm), max(f_warm, 1e-10)
+    iterates, ipm_gaps, retries = _ipm_epigraph(
+        phi @ T, t, P, lower.T @ (col * beta_warm), max(f_warm, 1e-10), tolerance
     )
 
-    best_beta, best_f = beta_warm, f_warm
-    beta_ipm = T @ x[:m]
-    f_ipm, _ = evaluate_max_quadratic(beta_ipm, problem)
-    if f_ipm < best_f:
-        best_beta, best_f = beta_ipm, f_ipm
-
-    # the interior point's multipliers certify its iterate; the constraint
+    # the interior point's multipliers certify its iterates; the constraint
     # rows are the same in either coordinates, so z carries over
-    if lam > 0.0:
-        rows, sides = np.tile(np.arange(M), 2), np.repeat([1.0, -1.0], M)
-        best_lb = _epigraph_dual_value(problem, rows, sides, z)
-    else:
-        u = z[:M] + z[M:]
-        total = float(np.sum(u))
-        u = u / total if total > 0 else np.full(M, 1.0 / M)
-        best_lb, beta_u = _weighted_lower_bound(u, problem)
-        f_u, _ = evaluate_max_quadratic(beta_u, problem)
-        if f_u < best_f:
-            best_beta, best_f = beta_u, f_u
+    best_beta, best_f, best_lb = beta_warm, f_warm, -np.inf
+    rows, sides = np.tile(np.arange(M), 2), np.repeat([1.0, -1.0], M)
+    for x, z in iterates:
+        beta_ipm = T @ x[:m]
+        f_ipm, _ = evaluate_max_quadratic(beta_ipm, problem)
+        if f_ipm < best_f:
+            best_beta, best_f = beta_ipm, f_ipm
+        if lam > 0.0:
+            lb = _epigraph_dual_value(problem, rows, sides, z)
+        else:
+            u = z[:M] + z[M:]
+            total = float(np.sum(u))
+            u = u / total if total > 0 else np.full(M, 1.0 / M)
+            lb, beta_u = _weighted_lower_bound(u, problem)
+            f_u, _ = evaluate_max_quadratic(beta_u, problem)
+            if f_u < best_f:
+                best_beta, best_f = beta_u, f_u
+        best_lb = max(best_lb, lb)
 
     gaps = {"interior point": best_f - best_lb}
-    trace = dict(gaps=gaps, ipm_iterations=iterations, cholesky_retries=retries,
-                 exchange_steps=0, kkt_inversions=0)
+    trace = dict(gaps=gaps, ipm_iterations=len(ipm_gaps), ipm_gaps=ipm_gaps,
+                 cholesky_retries=retries, exchange_steps=0)
     if lam > 0.0 and best_f - best_lb > tolerance:
-        best_beta, best_f, best_lb, steps, inversions = _active_set_refine(
+        best_beta, best_f, best_lb, trace["exchange_steps"] = _active_set_refine(
             problem, best_beta, best_f, best_lb, tolerance
         )
-        trace.update(exchange_steps=steps, kkt_inversions=inversions)
         gaps["active-set exchange"] = best_f - best_lb
 
     certificate = max(best_f - best_lb, 0.0)
@@ -469,8 +491,8 @@ def _active_set_refine(
 
     solved by _WorkingSetKKT.  Negative multipliers leave the set, violated
     rows enter, and every iterate's clipped multipliers give a valid dual
-    bound.  Returns the best iterate, its objective, the best bound, the
-    steps taken and the full inversions made.
+    bound.  Returns the best iterate, its objective, the best bound and the
+    steps taken.
     """
     phi, t = problem.features, problem.targets
     M, m = phi.shape
@@ -526,20 +548,17 @@ def _active_set_refine(
             kkt.add(j, 1.0 if rr[j] >= 0 else -1.0)
             continue
         break  # clean KKT point; nothing further to exchange
-    return best_beta, best_f, best_lb, steps, kkt.inversions
+    return best_beta, best_f, best_lb, steps
 
 
 class _WorkingSetKKT:
-    """The KKT system of an exchange working set, keeping the inverse of
-    its equilibrated matrix across one-row changes of the set.
+    """The KKT system of an exchange working set, inverted afresh from its
+    equilibrated matrix at every solve.
 
     Equations [stationarity (m), tau, rows (k)] by variables [beta (m), tau,
-    z (k)], active row j multiplied by its side s_j, so each row is one
-    trailing row and column pair: adding one borders the inverse, dropping
-    one deletes from it, each O(n^2).  Scales are fixed per problem, by two
-    max-abs passes with every row active.  The inverse is formed afresh only
-    for the first solve, after a negligible pivot in add or drop, or when
-    refinement fails to halve the residual; a singular one solves to None.
+    z (k)], active row j multiplied by its side s_j.  Row and column scales
+    are fixed per problem, by two max-abs passes with every row active, so
+    a row keeps its scales as the set changes.
     """
 
     def __init__(self, problem: RegressionProblem, rows, sides):
@@ -548,7 +567,6 @@ class _WorkingSetKKT:
         self._h = np.append(np.full(self.m, 2.0 * problem.ridge), 2.0)
         self.rows = np.asarray(rows, dtype=int)
         self.sides = np.asarray(sides, dtype=float)
-        self.inversions, self._binv = 0, None
         # two max-abs passes over the system with every row j active; its
         # entries are 2 ridge, 2, |phi_j| and 1
         a, lam2 = np.abs(self.phi), 2.0 * problem.ridge
@@ -565,84 +583,44 @@ class _WorkingSetKKT:
 
     def add(self, row: int, side: float):
         """Append constraint row ``row`` with residual sign ``side``."""
-        if self._binv is not None:
-            b, head = self._binv, self.m + 1
-            g = np.append(side * self.phi[row], 1.0)
-            u = -g / (self._r_head * self._c_z[row])  # new column, head equations
-            v = g / (self._c_head * self._r_row[row])  # new row, head variables
-            bu, vb = b[:, :head] @ u, v @ b[:head]
-            pivot = -float(v @ bu[:head])
-            self._binv = None
-            # negligible if bordering would grow the inverse by over 1e8
-            if abs(pivot) > 1e-8 * float(np.max(np.abs(v)) * np.max(np.abs(bu))):
-                n = b.shape[0]
-                self._binv = grown = np.empty((n + 1, n + 1))
-                np.outer(bu / pivot, vb, out=grown[:n, :n])
-                grown[:n, :n] += b
-                grown[:n, n], grown[n, :n], grown[n, n] = -bu / pivot, -vb / pivot, 1.0 / pivot
         self.rows = np.append(self.rows, row)
         self.sides = np.append(self.sides, side)
 
     def drop(self, position: int):
         """Remove the working-set row at ``position``."""
-        if self._binv is not None:
-            b, i = self._binv, self.m + 1 + position
-            keep = np.arange(b.shape[0]) != i
-            col, row, pivot = b[keep, i], b[i, keep], float(b[i, i])
-            # as in add, none is kept if deleting would grow it by over 1e8
-            growth = float(np.max(np.abs(col))) * float(np.max(np.abs(row)))
-            kept = abs(pivot) * float(np.max(np.abs(b))) > 1e-8 * growth
-            self._binv = b[np.ix_(keep, keep)] - np.outer(col / pivot, row) if kept else None
         self.rows = np.delete(self.rows, position)
         self.sides = np.delete(self.sides, position)
 
     def solve(self):
-        """(beta, tau, z) of the working set, or None if it is singular."""
-        # the kept inverse if there is one, a fresh one if that fails
-        for fresh in (self._binv is None, True):
-            if fresh:
-                g, r, c = self._blocks()
-                K = np.block([[np.diag(self._h), -g.T], [g, np.zeros((len(g), len(g)))]])
-                self.inversions += 1
-                try:
-                    self._binv = np.linalg.inv(K / r[:, None] / c)
-                except np.linalg.LinAlgError:
-                    self._binv = None  # exact singularity: a degenerate working set
-                    return None
-            x, reduced = self._refined()
-            if reduced or fresh:
-                break
-        if not np.all(np.isfinite(x)):
-            return None
-        return x[: self.m], float(x[self.m]), x[self.m + 1 :]
+        """(beta, tau, z) of the working set, or None if it is singular.
 
-    def _blocks(self):
-        """The active rows [s_j phi_j, 1] and the current row and column scales."""
+        Solves from zero with the inverse of the equilibrated matrix,
+        refining with an extended-precision residual while each correction
+        at least halves.
+        """
+        head = self.m + 1
         g = np.column_stack([self.sides[:, None] * self.phi[self.rows], np.ones(self.rows.size)])
         r = np.append(self._r_head, self._r_row[self.rows])
-        return g, r, np.append(self._c_head, self._c_z[self.rows])
-
-    def _refined(self):
-        """Solve from zero, refining with an extended-precision residual
-        while each correction at least halves; also returns whether the
-        residual after the first correction was at least halved since."""
-        g, r, c = self._blocks()
+        c = np.append(self._c_head, self._c_z[self.rows])
+        K = np.block([[np.diag(self._h), -g.T], [g, np.zeros((len(g), len(g)))]])
+        try:
+            binv = np.linalg.inv(K / r[:, None] / c)
+        except np.linalg.LinAlgError:
+            return None  # exact singularity: a degenerate working set
         g, rhs = g.astype(np.longdouble), (self.sides * self.t[self.rows]).astype(np.longdouble)
-        head = self.m + 1
-
-        def residual(x):  # rhs - K x by blocks, equilibrated
-            z = x[head:]
-            res = np.concatenate([np.dot(z, g) - self._h * x[:head], rhs - np.dot(g, x[:head])])
-            return (res / r).astype(float)
-
         x = np.zeros(r.size, dtype=np.longdouble)
-        res, step, norms = np.append(np.zeros(head), rhs / r[head:]).astype(float), np.inf, []
+        res, step = np.append(np.zeros(head), rhs / r[head:]).astype(float), np.inf
         while True:
-            dy = self._binv @ res
+            dy = binv @ res
             size = float(np.max(np.abs(dy)))
             if not size < 0.5 * step:
                 break
             x += dy / c
-            step, res = size, residual(x)
-            norms.append(float(np.max(np.abs(res))))
-        return x.astype(float), bool(norms) and norms[-1] <= 0.5 * norms[0]
+            step = size
+            # rhs - K x by blocks, equilibrated
+            res = np.concatenate([np.dot(x[head:], g) - self._h * x[:head], rhs - np.dot(g, x[:head])])
+            res = (res / r).astype(float)
+        x = x.astype(float)
+        if not np.all(np.isfinite(x)):
+            return None
+        return x[: self.m], float(x[self.m]), x[head:]

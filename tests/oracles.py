@@ -65,6 +65,18 @@ def random_small_problem(rng: np.random.Generator) -> RegressionProblem:
     return RegressionProblem(phi, targets, ridge)
 
 
+def nearly_collinear_problem(rng: np.random.Generator) -> RegressionProblem:
+    """A ridge-0 instance whose columns are nearly collinear (condition up
+    to about 1e16) and whose targets the columns nearly fit exactly."""
+    n_rows, n_feat = int(rng.integers(8, 60)), int(rng.integers(2, 8))
+    rank = int(rng.integers(1, n_feat + 1))
+    phi = rng.normal(size=(n_rows, rank)) @ rng.normal(size=(rank, n_feat))
+    phi += 10.0 ** rng.uniform(-16, -6) * rng.normal(size=(n_rows, n_feat))
+    phi *= 10.0 ** rng.uniform(-2, 2)
+    targets = phi @ rng.normal(size=n_feat) + 10.0 ** rng.uniform(-14, -2) * rng.normal(size=n_rows)
+    return RegressionProblem(phi, targets, 0.0)
+
+
 def sorted_uniform_order_statistics(
     gen: np.random.Generator, n_samples: int, ranks, rows: int
 ) -> np.ndarray:

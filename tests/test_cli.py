@@ -15,6 +15,7 @@ from click.testing import CliRunner
 from twostage.cli import main
 from twostage import estimator as est
 from twostage import experiment as exp
+from twostage import solvers
 from twostage.priors import PriorSpec
 from twostage.rng import SeedSpec
 
@@ -241,14 +242,15 @@ class TestFit:
         )
         assert result.exit_code == 3
 
-    def test_minimax_solver_failure_exits_3(self, runner, tmp_path):
-        # the 5-row scale fit cannot be certified to tolerance
+    def test_minimax_solver_failure_exits_3(self, runner, tmp_path, monkeypatch):
+        # a minimax fit that no bound certifies to tolerance
+        def uncertified(problem, tolerance=None):
+            coeff = solvers.Coefficients(np.zeros(problem.n_features), 1.0, 1.0)
+            raise solvers.SolverBudgetError("certified gap 1.000e+00 above tolerance", coeff)
+
+        monkeypatch.setattr(solvers, "fit_minimax", uncertified)
         cfg = tiny_config_file(tmp_path)
-        result = runner.invoke(
-            main,
-            ["fit", "--config", str(cfg), "--method", "minimax", "--seed", "1",
-             "--m-theta", "5"],
-        )
+        result = runner.invoke(main, ["fit", "--config", str(cfg), "--method", "minimax"])
         assert result.exit_code == 3
         assert "solver failure" in result.output
 
