@@ -9,9 +9,11 @@ it out: the scale map appends quantile ratios to the raw quantiles, and the
 shape map takes the distinct monomials up to order 2 (including the
 constant) of the quantiles and their ratios against the top quantile,
 3n(n+1)/2 columns in all.  The fits build both maps; applying a fitted rule
-reads each row out of one basis buffer, readout_basis, which holds the
-scale features and the shape basis u that the shape map's monomials are
-the distinct pairwise products of.
+reads each row out of one basis of 4n-1 entries: the scale features, then
+the shape basis u that the shape map's monomials are the distinct pairwise
+products of.  readout_basis fills it for a block of rows; row_basis gives
+the gather and masked divide that fill it for one quantile vector, bit for
+bit alike.
 """
 
 from __future__ import annotations
@@ -194,6 +196,26 @@ def readout_basis(alphas: np.ndarray) -> np.ndarray:
     out[:, w + 1 : w + n + 1] = alphas
     np.divide(alphas[:, : n - 1], alphas[:, n - 1 :], out=out[:, w + n + 1 :])
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def row_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(num, den, ratio), cached and read-only: for one quantile vector
+    alpha, alpha[num] with its entries at ``ratio`` divided by alpha[den]
+    is readout_basis(alpha[None])[0], bit for bit.  The quantile entries
+    are gathered and left out of the divide; the constant of u is
+    a_1/a_1, exactly 1 for the positive a_1 the caller must ensure."""
+    w = scale_feature_len(n)
+    a = np.arange(n)
+    num = np.concatenate([a, a[1:], [0], a, a[:-1]])
+    den = np.zeros(num.size, dtype=np.intp)
+    den[w + n + 1 :] = n - 1
+    ratio = np.zeros(num.size, dtype=bool)
+    ratio[n : w + 1] = True
+    ratio[w + n + 1 :] = True
+    for array in (num, den, ratio):
+        array.flags.writeable = False
+    return num, den, ratio
 
 
 def shape_features(alphas: np.ndarray) -> np.ndarray:

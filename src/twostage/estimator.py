@@ -27,6 +27,7 @@ from .compression import (
     order_statistics,
     quantile_plan,
     readout_basis,
+    row_basis,
     scale_feature_len,
     scale_features,
     shape_feature_len,
@@ -291,8 +292,10 @@ def fit_minimax(config: TrainingConfig) -> TSModel:
 def estimate(model: TSModel, y) -> tuple[float, float]:
     """Apply the fitted rule to raw observations: compress, expand, read out.
 
-    Returns (scale_estimate, shape_estimate); permutation-invariant in y.
-    The observations must be positive and finite.
+    Returns (scale_estimate, shape_estimate) as Python floats, bit for bit
+    those of estimate_from_quantiles on the sample's quantile row;
+    permutation-invariant in y.  The observations must be positive and
+    finite.
     """
     y = np.asarray(y, dtype=float)
     if y.size <= model.n_quantiles:
@@ -304,8 +307,15 @@ def estimate(model: TSModel, y) -> tuple[float, float]:
     # quantiles of positive, finite, sorted data pass validate_quantiles and
     # check_ratio_pivots
     alpha = sorted_quantiles(ys, model.n_quantiles)
-    eta_hat, gamma_hat = _read_out(model, alpha[None])[0].tolist()
-    return eta_hat, gamma_hat
+    # _read_out's basis row and dots, without its block loop and 2-D buffers
+    num, den, ratio = row_basis(model.n_quantiles)
+    basis = alpha[num]
+    np.divide(basis, alpha[den], out=basis, where=ratio)
+    beta_scale = model.beta_scale.beta
+    u = basis[beta_scale.size :]
+    eta_hat = np.vecdot(basis[: beta_scale.size], beta_scale)
+    gamma_hat = np.vecdot(u, np.vecdot(u, model.shape_form))
+    return float(eta_hat), float(gamma_hat)
 
 
 def estimate_from_quantiles(model: TSModel, alphas) -> np.ndarray:

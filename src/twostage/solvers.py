@@ -24,7 +24,10 @@ ridge 0 the closed form does not exist, and the bound is
     L(u) = min_beta  sum_i u_i (t_i - phi_i . beta)^2
 
 at the interior point's normalized multipliers u, one least-squares solve:
-a convex combination of the rows never exceeds their max.
+a convex combination of the rows never exceeds their max.  On nearly
+collinear columns that solve can put L(u) above the best objective found;
+such a value is no bound and is discarded, and 0, which bounds any max of
+squares, stays.
 """
 
 from __future__ import annotations
@@ -376,7 +379,9 @@ def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> C
     solve had no factor, and stops once its duality measure is below
     tolerance / 100.  Each iterate it returns is read back as beta and
     certified by its own multipliers: the closed-form epigraph dual at
-    ridge > 0, L(u) at ridge 0.  With ridge > 0 and the gap still open, an
+    ridge > 0, L(u) at ridge 0, where an L(u) that exceeds the best
+    objective reached by more than 8 machine epsilons relative is discarded;
+    the bound 0 always stands.  With ridge > 0 and the gap still open, an
     active-set exchange on the equality KKT system tightens both sides.  If
     the gap stays above tolerance, raises SolverBudgetError carrying the
     best iterate.
@@ -413,7 +418,7 @@ def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> C
 
     # the interior point's multipliers certify its iterates; the constraint
     # rows are the same in either coordinates, so z carries over
-    best_beta, best_f, best_lb = beta_warm, f_warm, -np.inf
+    best_beta, best_f, bounds = beta_warm, f_warm, []
     rows, sides = np.tile(np.arange(M), 2), np.repeat([1.0, -1.0], M)
     for x, z in iterates:
         beta_ipm = T @ x[:m]
@@ -430,7 +435,14 @@ def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> C
             f_u, _ = evaluate_max_quadratic(beta_u, problem)
             if f_u < best_f:
                 best_beta, best_f = beta_u, f_u
-        best_lb = max(best_lb, lb)
+        bounds.append(lb)
+    if lam == 0.0:
+        # L(u) is not rigorous on nearly collinear columns: a bound above
+        # the best objective reached, beyond its rounding, is no bound
+        bounds = [lb for lb in bounds if lb <= best_f * (1.0 + 8.0 * np.finfo(float).eps)]
+    # 0 bounds a max of squares from below, so a fit left without a bound
+    # still carries a finite certificate
+    best_lb = max([0.0, *bounds])
 
     gaps = {"interior point": best_f - best_lb}
     trace = dict(gaps=gaps, ipm_iterations=len(ipm_gaps), ipm_gaps=ipm_gaps,

@@ -10,6 +10,7 @@ from twostage.compression import (
     QuantilePlan,
     quantile_plan,
     readout_basis,
+    row_basis,
     scale_feature_len,
     scale_features,
     shape_basis,
@@ -310,3 +311,9 @@ class TestReadoutBasis:
         width = scale_feature_len(n)
         np.testing.assert_array_equal(basis[:, :width], scale_features(alphas))
         np.testing.assert_array_equal(basis[:, width:], shape_basis(alphas))
+        # and a row's own gather and masked divide give its row
+        num, den, ratio = row_basis(n)
+        for alpha, row in zip(alphas, basis):
+            gathered = alpha[num]
+            np.divide(gathered, alpha[den], out=gathered, where=ratio)
+            np.testing.assert_array_equal(gathered, row)

@@ -415,12 +415,27 @@ class TestReadoutIsBitExact:
         threes = [estimate_from_quantiles(model, alphas[r : r + 3]) for r in range(0, len(alphas), 3)]
         np.testing.assert_array_equal(batch, np.concatenate(threes))
 
-    @pytest.mark.parametrize("size", [6, 120, 10_000])
+    @pytest.mark.parametrize("size", [6, 11, 120, 10_000])
     def test_estimate_equals_readout_of_its_quantiles(self, size):
-        model = fit_bayes(SMALL)
-        y = weibull_quantile(stream(SeedSpec(504), size).random(size), WeibullParams(4.0, 1.5))
-        alphas = sorted_quantiles(np.sort(y), SMALL.n_quantiles)
-        assert estimate(model, y) == tuple(estimate_from_quantiles(model, alphas[None])[0])
+        # estimate's one-row readout against the batch readout, bit for bit:
+        # both methods at SMALL's n = 5 and the protocol's n = 10, sizes
+        # from N = n + 1 up
+        models = [
+            model
+            for config in (SMALL, replace(SMALL, m_theta=200, n_obs=1000, n_quantiles=10))
+            for model in estimator.fit_methods(
+                generate_training_set(config), config.ridge, (METHOD_BAYES, METHOD_MINIMAX)
+            )
+            if model.n_quantiles < size
+        ]
+        for r in range(20):
+            params = WeibullParams(*np.random.default_rng([size, r]).uniform(1.0, 20.0, 2))
+            y = weibull_quantile(stream(SeedSpec(504), size, r).random(size), params)
+            for model in models:
+                alphas = sorted_quantiles(np.sort(y), model.n_quantiles)
+                estimates = estimate(model, y)
+                assert [type(value) for value in estimates] == [float, float]
+                assert estimates == tuple(estimate_from_quantiles(model, alphas[None])[0])
 
 
 class TestSerialization:

@@ -514,8 +514,8 @@ class TestFitMinimax:
         drawn_problems = [random_small_problem(rng) for _ in range(200)]
         # nearly collinear columns (condition 5e15) that nearly fit the
         # targets: at ridge 0 the weighted bound L(u) comes out above the
-        # fit's own objective, so the certificate is 0 and the objective
-        # itself must be one the oracle cannot beat
+        # fit's own objective and is discarded, so the fit exits 3 with the
+        # bound 0, and its objective must still be one the oracle cannot beat
         drawn_problems.append(nearly_collinear_problem(np.random.default_rng(7877)))
         for drawn in drawn_problems:
             problem = RegressionProblem(drawn.features, drawn.targets, ridge)
@@ -523,6 +523,15 @@ class TestFitMinimax:
             oracle = minimax_oracle(problem, fit.beta)
             slack = 1e-15 * (1.0 + float(np.max(problem.targets**2)))
             assert fit.objective - fit.certificate <= oracle + slack
+
+    @pytest.mark.parametrize("seed", [68, 418])
+    def test_ridge_zero_bound_never_above_own_objective(self, seed):
+        # nearly collinear columns: L(u) at the interior point's multipliers
+        # lies above the best objective reached (gaps -1.9e-10 at 5.5e-7 and
+        # -1.4e-12 at 4.3e-10), which no lower bound can; such a bound is
+        # discarded, and what certifies is 0 or a bound within rounding
+        fit = fit_or_best_iterate(nearly_collinear_problem(np.random.default_rng(seed)))
+        assert fit.trace["gaps"]["interior point"] >= -8.0 * np.finfo(float).eps * fit.objective
 
     def test_weighted_bound_below_its_own_objective(self):
         # L(u) is a minimum over beta, so it never exceeds the weighted
