@@ -16,10 +16,11 @@ certify.  The reported certificate is a rigorous global suboptimality
 bound in the original coordinates: the best objective found minus a
 Lagrange dual value, which any multipliers z >= 0 give (weak duality).  At
 ridge > 0 the dual of the epigraph program has a closed form, evaluated at
-the interior point's own multipliers; if rounding leaves the gap open, an
-active-set exchange, which solves each working set's KKT system afresh,
-closes it with the same closed form at its working-set multipliers.  At
-ridge 0 the closed form does not exist, and the bound is
+the interior point's own multipliers; if its dual residual, which the
+stop rule does not measure, leaves the gap open, an active-set exchange,
+which solves each working set's KKT system afresh, closes it with the same
+closed form at its working-set multipliers.  At ridge 0 the closed form
+does not exist, and the bound is
 
     L(u) = min_beta  sum_i u_i (t_i - phi_i . beta)^2
 
@@ -98,6 +99,11 @@ class RegressionProblem:
     def _ridge(self):
         # solved on first use and kept for the life of the problem
         return _solve_ridge(self)
+
+    @cached_property
+    def _kkt_scales(self):
+        # fixed per problem, so a row keeps its scales in every working set
+        return _working_set_scales(self)
 
 
 @dataclass(frozen=True)
@@ -501,10 +507,16 @@ def _active_set_refine(
         2 tau = sum_k z_k
         phi_k . beta + s_k tau = t_k      (active rows)
 
-    solved by _WorkingSetKKT.  Negative multipliers leave the set, violated
+    solved by _solve_working_set.  Negative multipliers leave the set, violated
     rows enter, and every iterate's clipped multipliers give a valid dual
     bound.  Returns the best iterate, its objective, the best bound and the
     steps taken.
+
+    The first working set holds the rows near the largest residual at the
+    best iterate.  On the protocol's training problems it closes the gap in
+    one step; with parameters drawn from [1, 1000] it often misses rows
+    that are active at the optimum, and the exchange adds them over tens to
+    hundreds of steps.
     """
     phi, t = problem.features, problem.targets
     M, m = phi.shape
@@ -516,36 +528,38 @@ def _active_set_refine(
     rows = np.flatnonzero(np.abs(r) >= tau * (1.0 - 1e-4))
     if rows.size > m + 1:
         rows = rows[np.argsort(np.abs(r[rows]))[-(m + 1) :]]
-    kkt = _WorkingSetKKT(problem, rows, np.where(r[rows] >= 0, 1.0, -1.0))
+    sides = np.where(r[rows] >= 0, 1.0, -1.0)
 
     for steps in range(1, 3 * (m + 1) + 121):  # exchange budget
-        if kkt.rows.size == 0:
+        if rows.size == 0:
             rr = t - phi @ best_beta
             j = int(np.argmax(np.abs(rr)))
-            kkt.add(j, 1.0 if rr[j] >= 0 else -1.0)
-        rows, k = kkt.rows, kkt.rows.size
+            rows, sides = np.append(rows, j), np.append(sides, 1.0 if rr[j] >= 0 else -1.0)
+        k = rows.size
 
-        sol = kkt.solve()
+        sol = _solve_working_set(problem, rows, sides)
         if sol is None:
             if k <= 1:
                 break
             # degenerate working set: shed the weakest row and retry
             rr = t - phi @ best_beta
-            kkt.drop(int(np.argmin(np.abs(rr[rows]))))
+            i = int(np.argmin(np.abs(rr[rows])))
+            rows, sides = np.delete(rows, i), np.delete(sides, i)
             continue
         beta_k, tau_k, z_k = sol
 
         f_k, _ = evaluate_max_quadratic(beta_k, problem)
         if f_k < best_f:
             best_beta, best_f = beta_k, f_k
-        lb = _epigraph_dual_value(problem, rows, kkt.sides, np.maximum(z_k, 0.0))
+        lb = _epigraph_dual_value(problem, rows, sides, np.maximum(z_k, 0.0))
         if lb > best_lb:
             best_lb = lb
         if best_f - best_lb <= tolerance:
             break
 
-        if float(np.min(z_k)) < -1e-12 * max(float(np.max(z_k)), 1e-30):
-            kkt.drop(int(np.argmin(z_k)))
+        i = int(np.argmin(z_k))
+        if z_k[i] < -1e-12 * max(float(np.max(z_k)), 1e-30):
+            rows, sides = np.delete(rows, i), np.delete(sides, i)
             continue
 
         rr = t - phi @ beta_k
@@ -556,83 +570,70 @@ def _active_set_refine(
         if viol[j] > 1e-10 * (1.0 + abs(tau_k)):
             if k >= m + 1:
                 # full vertex: swap out the weakest multiplier
-                kkt.drop(int(np.argmin(z_k)))
-            kkt.add(j, 1.0 if rr[j] >= 0 else -1.0)
+                rows, sides = np.delete(rows, i), np.delete(sides, i)
+            rows, sides = np.append(rows, j), np.append(sides, 1.0 if rr[j] >= 0 else -1.0)
             continue
         break  # clean KKT point; nothing further to exchange
     return best_beta, best_f, best_lb, steps
 
 
-class _WorkingSetKKT:
-    """The KKT system of an exchange working set, inverted afresh from its
-    equilibrated matrix at every solve.
+def _working_set_scales(problem: RegressionProblem):
+    """Row and column scales of the working-set KKT system, by two max-abs
+    passes over the system with every row active: (row scales of the
+    stationarity and tau equations, of each constraint row; column scales
+    of beta and tau, of each multiplier).  The system's entries are
+    2 ridge, 2, |phi_j| and 1."""
+    a, lam2 = np.abs(problem.features), 2.0 * problem.ridge
+    M, m = a.shape
+    c_beta, c_tau, c_z = np.ones(m), 1.0, np.ones(M)
+    for _ in range(2):
+        r_stat = np.maximum(lam2 / c_beta, np.max(a / c_z[:, None], axis=0))
+        r_tau = max(2.0 / c_tau, float(np.max(1.0 / c_z)))
+        r_row = np.maximum(np.max(a / c_beta, axis=1), 1.0 / c_tau)
+        c_beta = np.maximum(lam2 / r_stat, np.max(a / r_row[:, None], axis=0))
+        c_tau = max(2.0 / r_tau, float(np.max(1.0 / r_row)))
+        c_z = np.maximum(np.max(a / r_stat, axis=1), 1.0 / r_tau)
+    return np.append(r_stat, r_tau), r_row, np.append(c_beta, c_tau), c_z
+
+
+def _solve_working_set(problem: RegressionProblem, rows, sides):
+    """(beta, tau, z) of a working set's KKT system, or None if it is
+    singular.
 
     Equations [stationarity (m), tau, rows (k)] by variables [beta (m), tau,
-    z (k)], active row j multiplied by its side s_j.  Row and column scales
-    are fixed per problem, by two max-abs passes with every row active, so
-    a row keeps its scales as the set changes.
+    z (k)], active row j multiplied by its side s_j, equilibrated by the
+    problem's fixed scales.  Solves from zero with the inverse of the
+    equilibrated matrix, refining with an extended-precision residual while
+    each correction at least halves.
     """
-
-    def __init__(self, problem: RegressionProblem, rows, sides):
-        self.phi, self.t = problem.features, problem.targets
-        M, self.m = self.phi.shape
-        self._h = np.append(np.full(self.m, 2.0 * problem.ridge), 2.0)
-        self.rows = np.asarray(rows, dtype=int)
-        self.sides = np.asarray(sides, dtype=float)
-        # two max-abs passes over the system with every row j active; its
-        # entries are 2 ridge, 2, |phi_j| and 1
-        a, lam2 = np.abs(self.phi), 2.0 * problem.ridge
-        c_beta, c_tau, c_z = np.ones(self.m), 1.0, np.ones(M)
-        for _ in range(2):
-            r_stat = np.maximum(lam2 / c_beta, np.max(a / c_z[:, None], axis=0))
-            r_tau = max(2.0 / c_tau, float(np.max(1.0 / c_z)))
-            r_row = np.maximum(np.max(a / c_beta, axis=1), 1.0 / c_tau)
-            c_beta = np.maximum(lam2 / r_stat, np.max(a / r_row[:, None], axis=0))
-            c_tau = max(2.0 / r_tau, float(np.max(1.0 / r_row)))
-            c_z = np.maximum(np.max(a / r_stat, axis=1), 1.0 / r_tau)
-        self._r_head, self._r_row = np.append(r_stat, r_tau), r_row
-        self._c_head, self._c_z = np.append(c_beta, c_tau), c_z
-
-    def add(self, row: int, side: float):
-        """Append constraint row ``row`` with residual sign ``side``."""
-        self.rows = np.append(self.rows, row)
-        self.sides = np.append(self.sides, side)
-
-    def drop(self, position: int):
-        """Remove the working-set row at ``position``."""
-        self.rows = np.delete(self.rows, position)
-        self.sides = np.delete(self.sides, position)
-
-    def solve(self):
-        """(beta, tau, z) of the working set, or None if it is singular.
-
-        Solves from zero with the inverse of the equilibrated matrix,
-        refining with an extended-precision residual while each correction
-        at least halves.
-        """
-        head = self.m + 1
-        g = np.column_stack([self.sides[:, None] * self.phi[self.rows], np.ones(self.rows.size)])
-        r = np.append(self._r_head, self._r_row[self.rows])
-        c = np.append(self._c_head, self._c_z[self.rows])
-        K = np.block([[np.diag(self._h), -g.T], [g, np.zeros((len(g), len(g)))]])
-        try:
-            binv = np.linalg.inv(K / r[:, None] / c)
-        except np.linalg.LinAlgError:
-            return None  # exact singularity: a degenerate working set
-        g, rhs = g.astype(np.longdouble), (self.sides * self.t[self.rows]).astype(np.longdouble)
-        x = np.zeros(r.size, dtype=np.longdouble)
-        res, step = np.append(np.zeros(head), rhs / r[head:]).astype(float), np.inf
-        while True:
-            dy = binv @ res
-            size = float(np.max(np.abs(dy)))
-            if not size < 0.5 * step:
-                break
-            x += dy / c
-            step = size
-            # rhs - K x by blocks, equilibrated
-            res = np.concatenate([np.dot(x[head:], g) - self._h * x[:head], rhs - np.dot(g, x[:head])])
-            res = (res / r).astype(float)
-        x = x.astype(float)
-        if not np.all(np.isfinite(x)):
-            return None
-        return x[: self.m], float(x[self.m]), x[head:]
+    phi, t = problem.features, problem.targets
+    m = phi.shape[1]
+    rows, sides = np.asarray(rows, dtype=int), np.asarray(sides, dtype=float)
+    r_head, r_row, c_head, c_z = problem._kkt_scales
+    h = np.append(np.full(m, 2.0 * problem.ridge), 2.0)
+    head = m + 1
+    g = np.column_stack([sides[:, None] * phi[rows], np.ones(rows.size)])
+    r = np.append(r_head, r_row[rows])
+    c = np.append(c_head, c_z[rows])
+    K = np.block([[np.diag(h), -g.T], [g, np.zeros((len(g), len(g)))]])
+    try:
+        binv = np.linalg.inv(K / r[:, None] / c)
+    except np.linalg.LinAlgError:
+        return None  # exact singularity: a degenerate working set
+    g, rhs = g.astype(np.longdouble), (sides * t[rows]).astype(np.longdouble)
+    x = np.zeros(r.size, dtype=np.longdouble)
+    res, step = np.append(np.zeros(head), rhs / r[head:]).astype(float), np.inf
+    while True:
+        dy = binv @ res
+        size = float(np.max(np.abs(dy)))
+        if not size < 0.5 * step:
+            break
+        x += dy / c
+        step = size
+        # rhs - K x by blocks, equilibrated
+        res = np.concatenate([np.dot(x[head:], g) - h * x[:head], rhs - np.dot(g, x[:head])])
+        res = (res / r).astype(float)
+    x = x.astype(float)
+    if not np.all(np.isfinite(x)):
+        return None
+    return x[:m], float(x[m]), x[head:]

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import scipy.optimize
 
+from twostage.compression import FeatureKind
 from twostage.crlb import FisherMatrix
+from twostage.estimator import TrainingConfig, build_feature_matrix, generate_training_set
 from twostage.rng import SeedSpec, stream
 from twostage.solvers import RegressionProblem, evaluate_max_quadratic
 from twostage.weibull import WeibullParams
@@ -65,16 +67,46 @@ def random_small_problem(rng: np.random.Generator) -> RegressionProblem:
     return RegressionProblem(phi, targets, ridge)
 
 
-def nearly_collinear_problem(rng: np.random.Generator) -> RegressionProblem:
-    """A ridge-0 instance whose columns are nearly collinear (condition up
-    to about 1e16) and whose targets the columns nearly fit exactly."""
+def training_problem(config: TrainingConfig, kind: FeatureKind) -> RegressionProblem:
+    """The scale or shape problem of the training set that ``config`` draws."""
+    training_set = generate_training_set(config)
+    return RegressionProblem(
+        build_feature_matrix(training_set.alphas, kind),
+        training_set.thetas[training_set.parent_index, 0 if kind is FeatureKind.SCALE else 1],
+        config.ridge,
+    )
+
+
+def random_census_problem(rng: np.random.Generator) -> RegressionProblem:
+    """A random instance of up to 400 rows and 60 columns at a ridge from 0
+    to 0.1: about 30% with rows scaled over 6 decades, and about 20% made
+    of fewer rows each repeated 5 times."""
+    n_rows = int(rng.integers(1, 401))
+    n_feat = int(rng.integers(1, 61))
+    ridge = float(rng.choice([0.0, 1e-8, 1e-6, 1e-4, 1e-2, 0.1]))
+    phi = rng.normal(size=(n_rows, n_feat))
+    targets = rng.normal(size=n_rows)
+    if rng.random() < 0.3:
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, size=n_rows)
+        phi *= scale[:, None]
+        targets *= scale
+    if rng.random() < 0.2:
+        kept = max(n_rows // 5, 1)
+        phi, targets = np.repeat(phi[:kept], 5, axis=0), np.repeat(targets[:kept], 5)
+    return RegressionProblem(phi, targets, ridge)
+
+
+def nearly_collinear_problem(rng: np.random.Generator, ridge: float = 0.0) -> RegressionProblem:
+    """An instance whose columns are nearly collinear (condition up to about
+    1e16) and whose targets the columns nearly fit exactly; the ridge takes
+    no draw, so a given rng state makes the same features at every ridge."""
     n_rows, n_feat = int(rng.integers(8, 60)), int(rng.integers(2, 8))
     rank = int(rng.integers(1, n_feat + 1))
     phi = rng.normal(size=(n_rows, rank)) @ rng.normal(size=(rank, n_feat))
     phi += 10.0 ** rng.uniform(-16, -6) * rng.normal(size=(n_rows, n_feat))
     phi *= 10.0 ** rng.uniform(-2, 2)
     targets = phi @ rng.normal(size=n_feat) + 10.0 ** rng.uniform(-14, -2) * rng.normal(size=n_rows)
-    return RegressionProblem(phi, targets, 0.0)
+    return RegressionProblem(phi, targets, ridge)
 
 
 def sorted_uniform_order_statistics(

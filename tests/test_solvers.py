@@ -15,9 +15,9 @@ from twostage.solvers import (
     RankDeficiencyError,
     RegressionProblem,
     SolverBudgetError,
-    _WorkingSetKKT,
     _epigraph_dual_value,
     _ipm_epigraph,
+    _solve_working_set,
     _weighted_lower_bound,
     evaluate_max_quadratic,
     fit_minimax,
@@ -25,7 +25,7 @@ from twostage.solvers import (
     mean_squared_objective,
 )
 
-from oracles import minimax_oracle, nearly_collinear_problem, random_small_problem
+from oracles import minimax_oracle, nearly_collinear_problem, random_small_problem, training_problem
 from test_cli import run_python
 
 
@@ -48,16 +48,6 @@ def random_ridge_problem(rng):
     phi = rng.normal(size=(n_rows, n_feat))
     targets = rng.normal(size=n_rows)
     return RegressionProblem(phi, targets, ridge)
-
-
-def training_problem(config, kind):
-    """The scale or shape problem of the training set that ``config`` draws."""
-    training_set = generate_training_set(config)
-    return RegressionProblem(
-        build_feature_matrix(training_set.alphas, kind),
-        training_set.thetas[training_set.parent_index, 0 if kind is FeatureKind.SCALE else 1],
-        config.ridge,
-    )
 
 
 def protocol_problem(kind, ridge, prior="uniform"):
@@ -416,6 +406,27 @@ class TestFitMinimax:
         # the trace takes no part in comparison
         assert fit == Coefficients(fit.beta, fit.objective, fit.certificate)
 
+    @pytest.mark.parametrize("seed", [37, 39])
+    @pytest.mark.parametrize("kind", [FeatureKind.SCALE, FeatureKind.SHAPE], ids=["scale", "shape"])
+    def test_protocol_fits_that_take_the_exchange_certify(self, seed, kind):
+        # on these seeds the dual residual leaves the shape fit's gap at the
+        # interior point above tolerance, at one BLAS thread or at two, and
+        # the exchange closes it; the scale fits close at the interior point
+        fit = fit_minimax(training_problem(TrainingConfig(ridge=1e-8, seed=SeedSpec(seed)), kind))
+        assert fit.trace["closed_by"] in ("interior point", "active-set exchange")
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_wide_range_fit_takes_exchange_steps_past_the_first(self, seed):
+        # five rows, shapes drawn from [1, 1000]: at the interior point's
+        # iterate fewer rows are near the largest residual than are active
+        # at the optimum, and the exchange takes 7 and 9 steps to find them;
+        # one solve on the first working set leaves the fit uncertified
+        config = TrainingConfig(m_theta=5, n_obs=120, n_quantiles=4, ridge=1e-8, seed=SeedSpec(seed),
+                                theta_distribution=PriorSpec("uniform", 1.0, 1000.0))
+        fit = fit_minimax(training_problem(config, FeatureKind.SHAPE))
+        assert fit.trace["closed_by"] == "active-set exchange"
+        assert fit.trace["exchange_steps"] > 1
+
     @pytest.mark.parametrize(
         "config",
         [
@@ -459,8 +470,9 @@ class TestFitMinimax:
         assert 0.0 <= fit.certificate <= 1e-9
 
     def test_duplicated_rows_degenerate_working_sets(self):
-        # repeated rows force singular active-set systems; the exchange must
-        # shed them and still certify the same optimum as the deduplicated fit
+        # thirty rows, ten copies of each of three: the interior point's own
+        # dual certifies the same optimum as the deduplicated fit, with no
+        # exchange over the singular working sets that the copies make
         rng = np.random.default_rng(8)
         base_phi = rng.normal(size=(3, 2))
         base_t = rng.normal(size=3) * 3
@@ -470,6 +482,7 @@ class TestFitMinimax:
         dedup = fit_minimax(RegressionProblem(base_phi, base_t, 1e-8))
         assert dup.objective == pytest.approx(dedup.objective, rel=1e-9)
         assert dup.certificate <= 1e-6 * dup.objective
+        assert dup.trace["closed_by"] == "interior point"
 
     def test_phases_per_ridge_regime(self):
         # the interior point, certified by its own dual, runs in both
@@ -576,59 +589,51 @@ def componentwise_backward_error(K, rhs, x):
 
 class TestWorkingSetKKT:
     """The exchange's KKT kernel: the equilibrated working-set system,
-    inverted afresh and refined at every solve."""
+    inverted and refined at every solve."""
 
     @staticmethod
-    def solution(kkt):
-        sol = kkt.solve()
+    def solution(problem, rows, sides):
+        sol = _solve_working_set(problem, rows, sides)
         assert sol is not None
         beta, tau, z = sol
         return np.concatenate([beta, [tau], z])
 
     def test_updates_match_fresh_solve(self):
-        # random add, drop and swap sequences; every solve is checked
-        # against the dense system and a dense solve
+        # random working sets of up to m+1 rows, each solved afresh and
+        # checked against the dense system and a dense solve
         rng = np.random.default_rng(9)
         M, m = 14, 5
         problem = RegressionProblem(rng.normal(size=(M, m)), rng.normal(size=M), 1e-3)
-        kkt = _WorkingSetKKT(problem, [0, 1], [1.0, -1.0])
         for _ in range(60):
-            k = kkt.rows.size
-            op = rng.choice(["add", "drop", "swap"])
-            if op in ("drop", "swap") and k > 1:
-                kkt.drop(int(rng.integers(k)))
-            if op in ("add", "swap") and kkt.rows.size <= m:
-                outside = np.setdiff1d(np.arange(M), kkt.rows)
-                kkt.add(int(rng.choice(outside)), float(rng.choice([-1.0, 1.0])))
-            x = self.solution(kkt)
-            K, rhs = kkt_system(problem, kkt.rows, kkt.sides)
+            rows = rng.permutation(M)[: int(rng.integers(1, m + 2))]
+            sides = rng.choice([-1.0, 1.0], size=rows.size)
+            x = self.solution(problem, rows, sides)
+            K, rhs = kkt_system(problem, rows, sides)
             assert componentwise_backward_error(K, rhs, x) <= 1e-15
             np.testing.assert_allclose(x, np.linalg.solve(K, rhs), rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("appended", [False, True], ids=["repeated-row", "appended-duplicate"])
     def test_singular_working_set_solves_to_none(self, appended):
         # a working set holding one row twice on the same side is singular,
-        # whether formed at once or by adding the copy after a solve
+        # whether the copy is adjacent or appended to a set that solves
         problem = RegressionProblem([[1.0, 2.0], [0.5, -1.0]], [1.0, 0.0], 1e-8)
         if appended:
-            kkt = _WorkingSetKKT(problem, [0, 1], [1.0, 1.0])
-            assert kkt.solve() is not None
-            kkt.add(0, 1.0)
+            assert _solve_working_set(problem, [0, 1], [1.0, 1.0]) is not None
+            rows = [0, 1, 0]
         else:
-            kkt = _WorkingSetKKT(problem, [0, 0], [1.0, 1.0])
-        assert kkt.solve() is None
+            rows = [0, 0]
+        assert _solve_working_set(problem, rows, [1.0] * len(rows)) is None
 
     def test_drop_of_a_zero_pivot_keeps_no_inverse(self):
         # five copies of one row on one side: the inverse is not flagged as
-        # singular, and the set with one copy dropped solves cleanly or to
+        # singular, and the set with one copy taken out solves cleanly or to
         # None, with no warning
         problem = repeated_row_problem()
+        rows = np.array([74, 51, 53, 50, 54, 52])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            kkt = _WorkingSetKKT(problem, [74, 51, 53, 50, 54, 52], [-1.0] * 6)
-            assert kkt.solve() is not None
-            kkt.drop(2)
-            sol = kkt.solve()
+            assert _solve_working_set(problem, rows, [-1.0] * 6) is not None
+            sol = _solve_working_set(problem, np.delete(rows, 2), [-1.0] * 5)
         assert sol is None or all(np.all(np.isfinite(part)) for part in sol)
 
     def test_solve_on_badly_scaled_system(self):
@@ -642,7 +647,6 @@ class TestWorkingSetKKT:
         problem = RegressionProblem(phi, rng.normal(size=M) * row, 1e-4)
         rows = rng.permutation(M)[:12]
         sides = rng.choice([-1.0, 1.0], size=12)
-        kkt = _WorkingSetKKT(problem, rows, sides)
         K, rhs = kkt_system(problem, rows, sides)
         # componentwise backward error at rounding level, row by row
-        assert componentwise_backward_error(K, rhs, self.solution(kkt)) <= 1e-15
+        assert componentwise_backward_error(K, rhs, self.solution(problem, rows, sides)) <= 1e-15
