@@ -4,16 +4,20 @@ quantiles, and the feature expansions feeding the linear second stage.
 The n-dimensional compressed vector holds the sample quantiles at
 p = k/n for k = 1..n (p = 1 is the sample maximum), interpolated linearly
 between adjacent order statistics as numpy's "linear" quantile method does;
-sorted_quantiles(order_statistics(y), n) computes it.  Two feature maps read
-it out: the scale map appends quantile ratios to the raw quantiles, and the
-shape map takes the distinct monomials up to order 2 (including the
-constant) of the quantiles and their ratios against the top quantile,
-3n(n+1)/2 columns in all.  The fits build both maps; applying a fitted rule
-reads each row out of one basis of 4n-1 entries: the scale features, then
-the shape basis u that the shape map's monomials are the distinct pairwise
-products of.  readout_basis fills it for a block of rows; row_basis gives
-the gather and masked divide that fill it for one quantile vector, bit for
-bit alike.
+sorted_quantiles(order_statistics(y), n) computes it.  Each quantile is
+lerped from the nearer of its two order statistics.  QuantilePlan.quantiles
+clamps the lerp to the pair, since the simulator's order statistics pass
+through log1p and power, which need not keep them ordered to the last ulp;
+sorted_quantiles reads a sorted sample, whose pairs are ordered, and returns
+the same bits without the clamp.  Two feature maps read it out: the scale
+map appends quantile ratios to the raw quantiles, and the shape map takes
+the distinct monomials up to order 2 (including the constant) of the
+quantiles and their ratios against the top quantile, 3n(n+1)/2 columns in
+all.  The fits build both maps; applying a fitted rule reads each row out
+of one basis of 4n-1 entries: the scale features, then the shape basis u
+that the shape map's monomials are the distinct pairwise products of.
+readout_basis fills it for a block of rows; row_basis gives the gather and
+masked divide that fill it for one quantile vector, bit for bit alike.
 """
 
 from __future__ import annotations
@@ -136,10 +140,26 @@ def validate_quantiles(values) -> None:
 
 
 def sorted_quantiles(ys, n: int) -> np.ndarray:
-    """Quantiles at p = k/n for k = 1..n of a sample already sorted ascending."""
+    """Quantiles at p = k/n for k = 1..n of a sample already sorted ascending.
+
+    Bit for bit plan.interpolate(ys[plan.sample_gather]), without its clamp:
+    the ends of a sorted sample are ordered, which QuantilePlan.quantiles
+    cannot assume of its simulated order statistics.
+    """
     plan = quantile_plan(ys.size, n)
     # indexing, not np.take: its dispatch costs more than a 1-D gather
-    return plan.interpolate(ys[plan.sample_gather])
+    ends = ys[plan.sample_gather]
+    # the clamp cannot fire.  With lower <= upper, d = fl(upper - lower) >= 0
+    # and |step| <= 1/2, fl(|step| d) <= d/2 < upper - lower: the lerp from
+    # the nearer end moves less than the span and, rounding being monotone,
+    # lands in [lower, upper].  Where d/2 is inexact (d subnormal) the
+    # difference is exact and fl(|step| d) <= d.  This holds with ties,
+    # subnormals and spans of 1e+-300, for any finite sample whose span
+    # does not overflow, so for every positive one.
+    q = ends[n : 2 * n] - ends[:n]
+    q *= plan.step
+    q += ends[2 * n :]
+    return q
 
 
 def check_ratio_pivots(alphas: np.ndarray) -> None:

@@ -180,15 +180,17 @@ def _solve_ridge(problem: RegressionProblem):
     where the system went to lstsq."""
     phi, t, lam = problem.features, problem.targets, problem.ridge
     M, m = phi.shape
-    if lam == 0.0 and M < m:
-        raise RankDeficiencyError(
-            f"normal matrix is singular ({M} rows < {m} features); set ridge > 0"
-        )
-    # Phi'Phi overflows exactly when a squared column norm does
+    # Phi'Phi overflows exactly when a squared column norm does; tested
+    # before the rank, so that no lstsq fallback meets such columns (LAPACK
+    # prints its own error text for them to stderr)
     with np.errstate(over="ignore"):
         col = np.linalg.norm(phi, axis=0)
     if not np.all(np.isfinite(col)):
         raise ValueError("feature column norms must be finite")
+    if lam == 0.0 and M < m:
+        raise RankDeficiencyError(
+            f"normal matrix is singular ({M} rows < {m} features); set ridge > 0"
+        )
     col[col == 0.0] = 1.0
     phi_s = phi / col
     root = np.sqrt(M * lam) / col  # the ridge rows, scaled
@@ -310,21 +312,24 @@ def _ipm_epigraph(phi, t, P, beta0, f_scale, tolerance, max_iter=80):
 
         w = z / s
         lo, hi = w[:M], w[M:]
-        np.multiply(np.sqrt(lo + hi)[:, None], phi, out=weighted)
+        row_weight = lo + hi
+        np.multiply(np.sqrt(row_weight)[:, None], phi, out=weighted)
         Hfull[:m, :m] = weighted.T @ weighted  # one symmetric rank-k update
         border = phi.T @ (lo - hi)
         Hfull[:m, m] = border
         Hfull[m, :m] = border
-        Hfull[m, m] = float(np.sum(lo + hi))
+        Hfull[m, m] = float(np.sum(row_weight))
         Hfull += P
         # the right-hand side both directions share
         rhs0 = -(P @ x) - gt_apply(w * rp)
+        sz_rows = s * z
 
-        def kkt_solve(extra):
-            # Newton direction for complementarity target s*z + extra -> 0
-            dx = np.linalg.solve(K, rhs0 + gt_apply(extra / s))
+        def kkt_solve(rhs, target):
+            # Newton direction for complementarity target -> 0, where
+            # target = s*z + extra and rhs = rhs0 + G'(extra / s)
+            dx = np.linalg.solve(K, rhs)
             ds = -rp - g_apply(dx)
-            dz = -(s * z + extra) / s - w * ds
+            dz = -target / s - w * ds
             return dx, ds, dz
 
         delta = max(delta0, delta_ok / 100.0)
@@ -335,7 +340,7 @@ def _ipm_epigraph(phi, t, P, beta0, f_scale, tolerance, max_iter=80):
                 np.linalg.cholesky(K)  # the positive-definite test
                 # LU can still meet a zero pivot that Cholesky rounded past;
                 # once it factors, the corrector's solve repeats its pivots
-                dx_a, ds_a, dz_a = kkt_solve(np.zeros(2 * M))
+                dx_a, ds_a, dz_a = kkt_solve(rhs0, sz_rows)  # the predictor: extra = 0
                 break
             except np.linalg.LinAlgError:
                 retries += 1
@@ -349,7 +354,8 @@ def _ipm_epigraph(phi, t, P, beta0, f_scale, tolerance, max_iter=80):
         mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / (2 * M)
         sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.1
 
-        dx, ds, dz = kkt_solve(ds_a * dz_a - sigma * mu)
+        extra = ds_a * dz_a - sigma * mu
+        dx, ds, dz = kkt_solve(rhs0 + gt_apply(extra / s), sz_rows + extra)
         alpha_p = 0.99 * _max_step(s, ds)
         alpha_d = 0.99 * _max_step(z, dz)
         if max(alpha_p, alpha_d) < 1e-10:
@@ -365,10 +371,10 @@ def _ipm_epigraph(phi, t, P, beta0, f_scale, tolerance, max_iter=80):
 
 
 def _max_step(v, dv):
-    neg = dv < 0
-    if not np.any(neg):
-        return 1.0
-    return min(1.0, float(np.min(-v[neg] / dv[neg])))
+    """The largest step in (0, 1] that keeps v + step * dv >= 0, for v > 0:
+    min over dv < 0 of -v / dv, which is -(v / dv) exactly."""
+    ratio = np.divide(v, dv, out=np.full_like(v, -np.inf), where=dv < 0)
+    return min(1.0, -float(np.max(ratio)))
 
 
 def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> Coefficients:

@@ -346,6 +346,30 @@ def test_fit_that_overflows_exits_2(tmp_path, args, upper, readout):
     assert not out.is_file() and not any(out.glob("*"))
 
 
+@pytest.mark.parametrize("args", [["fit", "--method", "bayes"], ["fit", "--method", "minimax"],
+                                  ["reproduce-table1"]])
+def test_ridge_0_fit_that_overflows_prints_one_line(tmp_path, args):
+    # two rows against three shape columns at ridge 0: the normal matrix is
+    # singular and its column norms overflow.  The overflow is the error; a
+    # least-squares fallback on such columns makes LAPACK print DLASCL
+    # errors itself, past numpy's warning filters
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "training": {"m_theta": 2, "n_obs": 120, "n_quantiles": 1, "ridge": 0.0,
+                     "theta_distribution": {"lower": 1.0, "upper": 1e100}},
+        "eval_points": [[2.0, 2.0]],
+        "mc_runs": 20,
+    }))
+    out = tmp_path / "out"
+    result = run_python("-m", "twostage.cli", *args, "--config", str(cfg), "--out", str(out))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.splitlines() == [
+        "invalid input: the shape readout overflows float64: feature column norms must be finite"
+    ]
+    assert "DLASCL" not in result.stdout + result.stderr
+    assert not out.is_file() and not any(out.glob("*"))
+
+
 # a config of each malformed shape and the message naming its key
 MALFORMED_CONFIGS = [
     ({"eval_points": 5}, "config key 'eval_points' must be an array, got 5"),

@@ -40,6 +40,22 @@ binary_grid_vectors = st.lists(
     min_size=2,
     max_size=60,
 )
+TINY = float(np.finfo(float).smallest_subnormal)
+# positive finite samples, sorted: any floats (subnormals and both ends of
+# the range included), integer ties, ties a few ulps apart, subnormals, and
+# powers of ten across 1e-300..1e300
+positive_samples = st.one_of(
+    st.lists(st.floats(min_value=TINY, allow_infinity=False), min_size=2, max_size=60),
+    st.lists(st.integers(min_value=1, max_value=3).map(float), min_size=2, max_size=60),
+    st.tuples(
+        st.floats(min_value=TINY, max_value=1e300),
+        st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=60),
+    ).map(lambda t: [float(t[0] + k * np.spacing(t[0])) for k in t[1]]),
+    st.lists(st.integers(min_value=1, max_value=2**20).map(lambda k: k * TINY),
+             min_size=2, max_size=60),
+    st.lists(st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e),
+             min_size=2, max_size=60),
+).map(sorted)
 
 
 class TestOrderStatistics:
@@ -150,6 +166,17 @@ class TestCompress:
         stats = np.sort(rng.uniform(-1.0, 1.0, (200, 2)) * 10.0 ** rng.integers(-8, 8, (200, 1)))
         stats[:3] = [[1.0, 1.0], [0.1, 0.3], [-1e307, 1e307]]
         np.testing.assert_array_equal(plan.quantiles(stats), two_sided_lerp(plan, stats))
+
+    @given(positive_samples, st.integers(min_value=1, max_value=12))
+    @settings(max_examples=300, deadline=None)
+    def test_sorted_sample_lerp_is_the_clamped_lerp(self, values, n):
+        # the ends of a sorted sample are ordered, so the clamp that
+        # QuantilePlan.interpolate applies never fires on them
+        ys = np.array(values)
+        plan = quantile_plan(ys.size, n)
+        ours = sorted_quantiles(ys, n)
+        clamped = plan.interpolate(ys[plan.sample_gather])
+        np.testing.assert_array_equal(ours.view(np.int64), clamped.view(np.int64))
 
     @given(data_vectors, st.integers(min_value=1, max_value=5))
     @settings(max_examples=80, deadline=None)

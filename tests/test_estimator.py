@@ -1,6 +1,7 @@
 """End-to-end pipeline: training-set generation, Bayes/minimax fits,
 prediction, and model serialization."""
 
+import itertools
 import re
 from dataclasses import replace
 
@@ -417,9 +418,11 @@ class TestReadoutIsBitExact:
 
     @pytest.mark.parametrize("size", [6, 11, 120, 10_000])
     def test_estimate_equals_readout_of_its_quantiles(self, size):
-        # estimate's one-row readout against the batch readout, bit for bit:
-        # both methods at SMALL's n = 5 and the protocol's n = 10, sizes
-        # from N = n + 1 up
+        # estimate's one-row quantiles and readout against the clamped lerp
+        # and the batch readout, bit for bit: both methods at SMALL's n = 5
+        # and the protocol's n = 10, sizes from N = n + 1 up, on Weibull
+        # samples, on samples of three tied values and on samples spread
+        # over 1e-150..1e150
         models = [
             model
             for config in (SMALL, replace(SMALL, m_theta=200, n_obs=1000, n_quantiles=10))
@@ -429,10 +432,16 @@ class TestReadoutIsBitExact:
             if model.n_quantiles < size
         ]
         for r in range(20):
-            params = WeibullParams(*np.random.default_rng([size, r]).uniform(1.0, 20.0, 2))
-            y = weibull_quantile(stream(SeedSpec(504), size, r).random(size), params)
-            for model in models:
-                alphas = sorted_quantiles(np.sort(y), model.n_quantiles)
+            rng = np.random.default_rng([size, r])
+            params = WeibullParams(*rng.uniform(1.0, 20.0, 2))
+            samples = (
+                weibull_quantile(stream(SeedSpec(504), size, r).random(size), params),
+                rng.integers(1, 4, size).astype(float),
+                10.0 ** rng.uniform(-150.0, 150.0, size),
+            )
+            for y, model in itertools.product(samples, models):
+                plan = quantile_plan(size, model.n_quantiles)
+                alphas = plan.quantiles(np.sort(y)[plan.ranks])
                 estimates = estimate(model, y)
                 assert [type(value) for value in estimates] == [float, float]
                 assert estimates == tuple(estimate_from_quantiles(model, alphas[None])[0])
