@@ -13,11 +13,13 @@ the same bits without the clamp.  Two feature maps read it out: the scale
 map appends quantile ratios to the raw quantiles, and the shape map takes
 the distinct monomials up to order 2 (including the constant) of the
 quantiles and their ratios against the top quantile, 3n(n+1)/2 columns in
-all.  The fits build both maps; applying a fitted rule reads each row out
-of one basis of 4n-1 entries: the scale features, then the shape basis u
-that the shape map's monomials are the distinct pairwise products of.
-readout_basis fills it for a block of rows; row_basis gives the gather and
-masked divide that fill it for one quantile vector, bit for bit alike.
+all.  Both rest on one basis of 4n-1 entries per row: the scale features,
+then the shape basis u that the shape map's monomials are the distinct
+pairwise products of.  readout_basis fills it for a block of rows, and the
+fits slice their features from it as a fitted rule's readout does;
+row_basis gives the gather and masked divide that fill it for one quantile
+vector, bit for bit alike.  validate_quantiles is the one check of a
+quantile matrix, the zero pivots of the ratios included.
 """
 
 from __future__ import annotations
@@ -132,11 +134,16 @@ def quantile_plan(n_obs: int, n: int) -> QuantilePlan:
 
 def validate_quantiles(values) -> None:
     """Raise ValueError unless every row (last axis) of quantiles is finite
-    and non-decreasing."""
+    and non-decreasing, and DegenerateInputError unless its first and top
+    quantiles, the divisors of the ratios, are non-zero."""
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
     if np.any(values[..., 1:] < values[..., :-1]):
         raise ValueError("quantile values must be non-decreasing")
+    if not values[..., 0].all():
+        raise DegenerateInputError("first quantile is zero; ratio features undefined")
+    if not values[..., -1].all():
+        raise DegenerateInputError("top quantile is zero; ratio features undefined")
 
 
 def sorted_quantiles(ys, n: int) -> np.ndarray:
@@ -162,50 +169,16 @@ def sorted_quantiles(ys, n: int) -> np.ndarray:
     return q
 
 
-def check_ratio_pivots(alphas: np.ndarray) -> None:
-    """Raise DegenerateInputError unless every row of a quantile matrix has
-    a non-zero first and top quantile, the divisors of the ratios."""
-    if not alphas[:, 0].all():
-        raise DegenerateInputError("first quantile is zero; ratio features undefined")
-    if not alphas[:, -1].all():
-        raise DegenerateInputError("top quantile is zero; ratio features undefined")
-
-
-def scale_features(alphas: np.ndarray) -> np.ndarray:
-    """Scale features of every row of a quantile matrix, in C order: the
-    quantiles followed by the ratios a_2/a_1, ..., a_n/a_1 (2n-1 columns)."""
-    rows, n = alphas.shape
-    if not alphas[:, 0].all():
-        raise DegenerateInputError("first quantile is zero; ratio features undefined")
-    out = np.empty((rows, scale_feature_len(n)))
-    out[:, :n] = alphas
-    np.divide(alphas[:, 1:], alphas[:, :1], out=out[:, n:])
-    return out
-
-
-def shape_basis(alphas: np.ndarray) -> np.ndarray:
-    """u = (1, a_1..a_n, a_1/a_n..a_{n-1}/a_n) of every row of a quantile
-    matrix: the shape features are the distinct products of its entries."""
-    rows, n = alphas.shape
-    top = alphas[:, n - 1 :]
-    if not top.all():
-        raise DegenerateInputError("top quantile is zero; ratio features undefined")
-    u = np.empty((rows, 2 * n))
-    u[:, 0] = 1.0
-    u[:, 1 : n + 1] = alphas
-    np.divide(alphas[:, : n - 1], top, out=u[:, n + 1 :])
-    return u
-
-
 def readout_basis(alphas: np.ndarray) -> np.ndarray:
-    """scale_features(alphas) and shape_basis(alphas) side by side in one
-    C-order buffer of 4n-1 columns, bit for bit: [:2n-1] holds the scale
-    features, [2n-1:] the shape basis u, so a row of either is a
-    unit-stride slice.
+    """The basis of every row of a quantile matrix in one C-order buffer of
+    4n-1 columns: [:2n-1] holds the scale features, the quantiles followed
+    by the ratios a_2/a_1, ..., a_n/a_1; [2n-1:] holds the shape basis
+    u = (1, a_1..a_n, a_1/a_n..a_{n-1}/a_n), whose distinct products are
+    the shape features.  A row of either is a unit-stride slice.
 
     The rows are not checked here: a one-row block spends as long on a
-    check as on a ratio block.  They must pass check_ratio_pivots, which
-    the readout's callers apply where the rows enter.
+    check as on a ratio block.  They must pass validate_quantiles, which
+    the callers apply where the rows enter.
     """
     rows, n = alphas.shape
     w = scale_feature_len(n)
@@ -248,7 +221,7 @@ def shape_features(alphas: np.ndarray) -> np.ndarray:
     j = n, a_k): 3n(n+1)/2 columns for n quantiles.
     """
     rows, n = alphas.shape
-    u = shape_basis(alphas)
+    u = readout_basis(alphas)[:, scale_feature_len(n) :]
     out = np.empty((rows, shape_feature_len(n)))
     out[:, : 2 * n] = u
     psi = u[:, 1:]
@@ -259,7 +232,8 @@ def shape_features(alphas: np.ndarray) -> np.ndarray:
 
 def shape_form(beta: np.ndarray, n: int) -> np.ndarray:
     """The read-only upper-triangular Q with u'Qu = shape_features(alphas) @ beta
-    for u = shape_basis(alphas); Q[j+1, k+1] weighs psi_j * psi_k."""
+    for u the shape basis of readout_basis(alphas); Q[j+1, k+1] weighs
+    psi_j * psi_k."""
     width = 2 * n
     form = np.zeros((width, width))
     form[0] = beta[:width]

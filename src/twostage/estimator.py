@@ -23,13 +23,11 @@ from . import solvers
 from ._files import write_text_atomic
 from .compression import (
     FeatureKind,
-    check_ratio_pivots,
     order_statistics,
     quantile_plan,
     readout_basis,
     row_basis,
     scale_feature_len,
-    scale_features,
     shape_feature_len,
     shape_features,
     shape_form,
@@ -205,9 +203,12 @@ class TSModel:
 
 
 def build_feature_matrix(alphas: np.ndarray, kind: FeatureKind) -> np.ndarray:
-    """Stack the chosen feature map over the rows of a quantile matrix."""
+    """Stack the chosen feature map over the rows of a quantile matrix, in
+    C order: the scale features are the readout basis's first columns."""
     alphas = _quantile_rows(alphas)
-    return scale_features(alphas) if kind is FeatureKind.SCALE else shape_features(alphas)
+    if kind is FeatureKind.SCALE:
+        return readout_basis(alphas)[:, : scale_feature_len(alphas.shape[1])].copy()
+    return shape_features(alphas)
 
 
 def _quantile_rows(alphas) -> np.ndarray:
@@ -216,17 +217,6 @@ def _quantile_rows(alphas) -> np.ndarray:
         raise ValueError("alphas must be a matrix with one quantile vector per row")
     validate_quantiles(alphas)
     return alphas
-
-
-def fit_from_training_set(
-    training_set: TrainingSet,
-    ridge: float,
-    method: str,
-    config_fingerprint: str = "",
-) -> TSModel:
-    """Fit both parameter readouts on an existing training set."""
-    (model,) = fit_methods(training_set, ridge, (method,), config_fingerprint)
-    return model
 
 
 def fit_methods(
@@ -271,9 +261,8 @@ def fit_methods(
 def fit_bayes(config: TrainingConfig) -> TSModel:
     """Average-risk fit: ridge regression of each parameter on its features."""
     training_set = generate_training_set(config)
-    return fit_from_training_set(
-        training_set, config.ridge, METHOD_BAYES, config.fingerprint()
-    )
+    (model,) = fit_methods(training_set, config.ridge, (METHOD_BAYES,), config.fingerprint())
+    return model
 
 
 def fit_minimax(config: TrainingConfig) -> TSModel:
@@ -284,9 +273,8 @@ def fit_minimax(config: TrainingConfig) -> TSModel:
     maximum over the simplex concentrates on the worst row.
     """
     training_set = generate_training_set(config)
-    return fit_from_training_set(
-        training_set, config.ridge, METHOD_MINIMAX, config.fingerprint()
-    )
+    (model,) = fit_methods(training_set, config.ridge, (METHOD_MINIMAX,), config.fingerprint())
+    return model
 
 
 def estimate(model: TSModel, y) -> tuple[float, float]:
@@ -306,8 +294,7 @@ def estimate(model: TSModel, y) -> tuple[float, float]:
     # NaN sorts last, so the extremes decide for the whole sample
     if not (ys[0] > 0.0 and ys[-1] < math.inf):
         raise ValueError("observations must be positive and finite")
-    # quantiles of positive, finite, sorted data pass validate_quantiles and
-    # check_ratio_pivots
+    # quantiles of positive, finite, sorted data pass validate_quantiles
     alpha = sorted_quantiles(ys, model.n_quantiles)
     # _read_out's basis row and dots, without its block loop and 2-D buffers
     num, den, ratio = row_basis(model.n_quantiles)
@@ -330,13 +317,12 @@ def estimate_from_quantiles(model: TSModel, alphas) -> np.ndarray:
         raise ValueError(
             f"model has {model.n_quantiles} quantiles, rows have {alphas.shape[1]}"
         )
-    check_ratio_pivots(alphas)
     return _read_out(model, alphas)
 
 
 def _read_out(model: TSModel, alphas: np.ndarray) -> np.ndarray:
     """The (scale, shape) estimates of quantile rows that have passed
-    validate_quantiles and check_ratio_pivots."""
+    validate_quantiles."""
     beta_scale, form = model.beta_scale.beta, model.shape_form
     width = beta_scale.size
     out = np.empty((alphas.shape[0], 2))
@@ -377,8 +363,8 @@ def save_model(model: TSModel, path) -> Path:
 
 def load_model(path) -> TSModel:
     """Read a model written by save_model.  A file of another format
-    version, a malformed file, a missing header key or a non-finite number
-    raises ValueError naming the file."""
+    version, a malformed file, a missing or repeated header key or a
+    non-finite number raises ValueError naming the file."""
     text = Path(path).read_text()
     try:
         head, body = text.split("\n\n", 1)
@@ -389,7 +375,10 @@ def load_model(path) -> TSModel:
         key, _, value = line.partition(":")
         if not _:
             raise ValueError(f"{path}: malformed header line {line!r}")
-        header[key.strip()] = value.strip()
+        key = key.strip()
+        if key in header:
+            raise ValueError(f"{path}: repeated header key {key!r}")
+        header[key] = value.strip()
     version = header.get("ts_model_version")
     if version != str(MODEL_FORMAT_VERSION):
         raise ValueError(

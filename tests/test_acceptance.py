@@ -29,7 +29,7 @@ from twostage import (
 )
 from twostage import solvers
 from twostage.compression import FeatureKind, order_statistics, sorted_quantiles
-from twostage.estimator import build_feature_matrix, fit_from_training_set
+from twostage.estimator import build_feature_matrix, fit_methods
 from twostage.rng import stream
 
 from oracles import (
@@ -87,12 +87,13 @@ def uniform_training_set(uniform_training):
 
 @pytest.fixture(scope="session")
 def bayes_uniform(uniform_training, uniform_training_set):
-    return fit_from_training_set(
+    (model,) = fit_methods(
         uniform_training_set,
         uniform_training.ridge,
-        "bayes",
+        ("bayes",),
         uniform_training.fingerprint(),
     )
+    return model
 
 
 @pytest.fixture(scope="session")

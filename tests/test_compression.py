@@ -7,18 +7,18 @@ from hypothesis import strategies as st
 
 from twostage import DegenerateInputError, SeedSpec, WeibullParams, order_statistics
 from twostage.compression import (
+    FeatureKind,
     QuantilePlan,
     quantile_plan,
     readout_basis,
     row_basis,
     scale_feature_len,
-    scale_features,
-    shape_basis,
     shape_feature_len,
     shape_features,
     sorted_quantiles,
     validate_quantiles,
 )
+from twostage.estimator import build_feature_matrix
 
 from oracles import (
     all_quadratic_monomials,
@@ -244,6 +244,14 @@ def one_row(feature_map, values):
     return feature_map(np.asarray(values, dtype=float)[None])[0]
 
 
+def scale_map(alphas):
+    return build_feature_matrix(alphas, FeatureKind.SCALE)
+
+
+def shape_map(alphas):
+    return build_feature_matrix(alphas, FeatureKind.SHAPE)
+
+
 # quantile matrices: a few rows of n non-decreasing positive quantiles
 quantile_rows = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.lists(
@@ -256,28 +264,28 @@ quantile_rows = st.integers(min_value=1, max_value=6).flatmap(
 
 class TestFeatureScale:
     def test_two_quantile_example(self):
-        out = one_row(scale_features, [3.0, 5.0])
+        out = one_row(scale_map, [3.0, 5.0])
         np.testing.assert_allclose(out, [3.0, 5.0, 5.0 / 3.0])
 
     def test_all_ones(self):
-        out = one_row(scale_features, np.ones(6))
+        out = one_row(scale_map, np.ones(6))
         np.testing.assert_array_equal(out, np.ones(11))
 
     def test_three_quantile_example(self):
-        out = one_row(scale_features, [1.0, 2.0, 4.0])
+        out = one_row(scale_map, [1.0, 2.0, 4.0])
         np.testing.assert_array_equal(out, [1.0, 2.0, 4.0, 2.0, 4.0])
 
     def test_zero_first_quantile_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            one_row(scale_features, [0.0, 1.0])
+            one_row(scale_map, [0.0, 1.0])
 
     def test_ratio_block_scale_invariant(self):
         rng = np.random.default_rng(9)
         y = rng.weibull(2.0, size=300) * 2.0
         n = 5
-        base = one_row(scale_features, compress(y, n))[n:]
+        base = one_row(scale_map, compress(y, n))[n:]
         for c in (0.01, 3.7, 250.0):
-            scaled = one_row(scale_features, compress(c * y, n))[n:]
+            scaled = one_row(scale_map, compress(c * y, n))[n:]
             np.testing.assert_allclose(scaled, base, rtol=1e-12)
 
 
@@ -308,11 +316,11 @@ class TestFeatureShape:
         assert scale_feature_len(10) == 19
         alpha = np.linspace(1.0, 2.0, 10)
         assert one_row(shape_features, alpha).size == 165
-        assert one_row(scale_features, alpha).size == 19
+        assert one_row(scale_map, alpha).size == 19
 
     def test_zero_top_quantile_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            one_row(shape_features, [0.0, 0.0])
+            one_row(shape_map, [0.0, 0.0])
 
     @given(quantile_rows)
     @settings(max_examples=200, deadline=None)
@@ -327,6 +335,22 @@ class TestFeatureShape:
         assert match.all(axis=0).any(axis=1).all()
 
 
+@pytest.mark.parametrize("kind", list(FeatureKind))
+@pytest.mark.parametrize(
+    "pivots, message",
+    [((0.0, 1.0), "first quantile is zero"), ((-1.0, 0.0), "top quantile is zero")],
+    ids=["first", "top"],
+)
+def test_feature_matrix_checks_both_pivots(kind, pivots, message):
+    # either map checks both pivots, though each divides by one of them
+    alphas = np.array([[1.0, 2.0, 4.0], [0.5, 0.5, 3.0], [2.0, 3.0, 3.0]])
+    features = build_feature_matrix(alphas, kind)
+    assert features.flags.c_contiguous
+    alphas[1] = [pivots[0], pivots[0], pivots[1]]
+    with pytest.raises(DegenerateInputError, match=message):
+        build_feature_matrix(alphas, kind)
+
+
 class TestReadoutBasis:
     @pytest.mark.parametrize("n", [1, 2, 3, 10])
     def test_slices_are_the_two_maps_bit_for_bit(self, n):
@@ -336,8 +360,14 @@ class TestReadoutBasis:
         basis = readout_basis(alphas)
         assert basis.shape == (40, 4 * n - 1) and basis.flags.c_contiguous
         width = scale_feature_len(n)
-        np.testing.assert_array_equal(basis[:, :width], scale_features(alphas))
-        np.testing.assert_array_equal(basis[:, width:], shape_basis(alphas))
+        scale = np.hstack([alphas, alphas[:, 1:] / alphas[:, :1]])
+        u = np.hstack([np.ones((40, 1)), alphas, alphas[:, :-1] / alphas[:, -1:]])
+        np.testing.assert_array_equal(basis[:, :width], scale)
+        np.testing.assert_array_equal(basis[:, width:], u)
+        # the fits' feature matrices: the scale slice, and the shape map's
+        # constant and linear terms, which are u
+        np.testing.assert_array_equal(scale_map(alphas), scale)
+        np.testing.assert_array_equal(shape_map(alphas)[:, : 2 * n], u)
         # and a row's own gather and masked divide give its row
         num, den, ratio = row_basis(n)
         for alpha, row in zip(alphas, basis):

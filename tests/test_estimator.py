@@ -31,8 +31,8 @@ from twostage.compression import (
     FeatureKind,
     order_statistics,
     quantile_plan,
+    readout_basis,
     scale_feature_len,
-    scale_features,
     shape_feature_len,
     shape_features,
     sorted_quantiles,
@@ -43,7 +43,7 @@ from twostage.estimator import (
     build_feature_matrix,
     dataset_draws,
     estimate_from_quantiles,
-    fit_from_training_set,
+    fit_methods,
     simulated_quantiles,
     training_draws,
 )
@@ -261,7 +261,7 @@ class TestFits:
     @pytest.mark.parametrize("method", [METHOD_BAYES, METHOD_MINIMAX])
     def test_perturbing_coefficients_never_improves(self, method):
         ts = generate_training_set(SMALL)
-        model = fit_from_training_set(ts, SMALL.ridge, method)
+        (model,) = fit_methods(ts, SMALL.ridge, (method,))
         targets = ts.thetas[ts.parent_index]
         phi = build_feature_matrix(ts.alphas, FeatureKind.SCALE)
         problem = solvers.RegressionProblem(phi, targets[:, 0], SMALL.ridge)
@@ -369,7 +369,7 @@ class TestQuadraticFormReadout:
         error = np.abs(got[:, 1] - reference).astype(float)
         assert np.all(error <= 1e-15 * np.abs(phi * beta).sum(axis=1))
         # the scale column is the explicit feature readout, bit for bit
-        scale = np.vecdot(scale_features(alphas), model.beta_scale.beta)
+        scale = np.vecdot(readout_basis(alphas)[:, : scale_feature_len(n)], model.beta_scale.beta)
         np.testing.assert_array_equal(got[:, 0], scale)
 
     def test_fitted_model_matches_long_double_feature_readout(self):
@@ -386,7 +386,7 @@ class TestQuadraticFormReadout:
 
     def test_zero_top_quantile_is_degenerate(self):
         model = random_model(3, 0)
-        # a non-zero first quantile passes the scale map's check
+        # the first quantile is non-zero: only the top pivot fails
         with pytest.raises(DegenerateInputError, match="top quantile is zero"):
             estimate_from_quantiles(model, [[1.0, 2.0, 3.0], [-2.0, -1.0, 0.0]])
 
@@ -515,8 +515,11 @@ class TestSerialization:
             (lambda text: text.replace("n_quantiles: 5\n", "n_quantiles: five\n"),
              "malformed n_quantiles 'five'"),
             (lambda text: text.rstrip("\n") + "x\n", "malformed coefficient"),
+            # a later value must not quietly win: this file would load as minimax
+            (lambda text: text.replace("method: bayes\n", "method: bayes\nmethod: minimax\n"),
+             "repeated header key 'method'"),
         ],
-        ids=["header-line", "header-number", "coefficient"],
+        ids=["header-line", "header-number", "coefficient", "repeated-key"],
     )
     def test_rejects_malformed_text(self, tmp_path, edit, message):
         path = self._edited_model_file(tmp_path, edit)
