@@ -64,10 +64,6 @@ def _options(*names):
     return decorate
 
 
-def _read_config(config_path=None) -> dict:
-    return {} if config_path is None else json.loads(Path(config_path).read_text())
-
-
 # the place of each flag's value in the JSON config
 _FLAG_KEYS = {
     "seed": ("training", "seed", "root_seed"),
@@ -92,7 +88,7 @@ def _merged(data, keys, value):
 
 def _config_data(config_path=None, **flags) -> dict:
     """The config file's data with the given flags merged in."""
-    data = _read_config(config_path)
+    data = {} if config_path is None else json.loads(Path(config_path).read_text())
     for name, value in flags.items():
         if value is not None:
             data = _merged(data, _FLAG_KEYS[name], value)

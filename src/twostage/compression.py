@@ -19,7 +19,7 @@ pairwise products of.  readout_basis fills it for a block of rows, and the
 fits slice their features from it as a fitted rule's readout does;
 row_basis gives the gather and masked divide that fill it for one quantile
 vector, bit for bit alike.  validate_quantiles is the one check of a
-quantile matrix, the zero pivots of the ratios included.
+quantile matrix, a first quantile that is not positive included.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 
 class DegenerateInputError(ValueError):
-    """A pivot quantile is zero, so ratio features are undefined.
+    """A first quantile is not positive, so ratio features are undefined.
 
     Weibull-like positive data makes this all but impossible; hitting it
     signals corrupted input (e.g. an all-zero lower tail).
@@ -95,12 +95,7 @@ class QuantilePlan:
         """Sample quantiles along the last axis of ``stats``, which holds
         each sample's order statistics at ``ranks``.  The result is in C
         order."""
-        return self.interpolate(np.take(stats, self.gather, axis=-1))
-
-    def interpolate(self, ends) -> np.ndarray:
-        """Sample quantiles from ``ends``, the gathered order statistics
-        along the last axis: ``stats[..., gather]``, or the sorted sample at
-        ``sample_gather``."""
+        ends = np.take(stats, self.gather, axis=-1)
         n = self.frac.size
         lower, upper = ends[..., :n], ends[..., n : 2 * n]
         raw = ends[..., 2 * n :] + self.step * (upper - lower)
@@ -134,24 +129,22 @@ def quantile_plan(n_obs: int, n: int) -> QuantilePlan:
 
 def validate_quantiles(values) -> None:
     """Raise ValueError unless every row (last axis) of quantiles is finite
-    and non-decreasing, and DegenerateInputError unless its first and top
-    quantiles, the divisors of the ratios, are non-zero."""
+    and non-decreasing, and DegenerateInputError unless its first quantile,
+    and so its top one, the divisors of the ratios, are positive."""
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
     if np.any(values[..., 1:] < values[..., :-1]):
         raise ValueError("quantile values must be non-decreasing")
-    if not values[..., 0].all():
-        raise DegenerateInputError("first quantile is zero; ratio features undefined")
-    if not values[..., -1].all():
-        raise DegenerateInputError("top quantile is zero; ratio features undefined")
+    if not np.all(values[..., 0] > 0):
+        raise DegenerateInputError("first quantile is zero or negative; ratio features undefined")
 
 
 def sorted_quantiles(ys, n: int) -> np.ndarray:
     """Quantiles at p = k/n for k = 1..n of a sample already sorted ascending.
 
-    Bit for bit plan.interpolate(ys[plan.sample_gather]), without its clamp:
-    the ends of a sorted sample are ordered, which QuantilePlan.quantiles
-    cannot assume of its simulated order statistics.
+    Bit for bit plan.quantiles(ys[plan.ranks]), without its clamp: the ends
+    of a sorted sample are ordered, which QuantilePlan.quantiles cannot
+    assume of its simulated order statistics.
     """
     plan = quantile_plan(ys.size, n)
     # indexing, not np.take: its dispatch costs more than a 1-D gather

@@ -49,13 +49,9 @@ SCATTER_STREAM = 3
 
 MODEL_FORMAT_VERSION = 2
 
-# rows read out per feature matrix: bounds the memory of the shape features
-# (165 columns for n = 10) however many datasets are estimated
+# rows read out per block: bounds the memory of the readout basis (4n - 1
+# columns) and the shape form product (2n) however many datasets are read
 _BLOCK_ROWS = 1024
-
-
-def _default_distribution() -> PriorSpec:
-    return PriorSpec(PriorKind.UNIFORM, 1.0, 20.0)
 
 
 @dataclass(frozen=True)
@@ -73,7 +69,9 @@ class TrainingConfig:
     n_obs: int = 10000
     n_quantiles: int = 10
     ridge: float = 1e-8
-    theta_distribution: PriorSpec = field(default_factory=_default_distribution)
+    theta_distribution: PriorSpec = field(
+        default_factory=lambda: PriorSpec(PriorKind.UNIFORM, 1.0, 20.0)
+    )
     seed: SeedSpec = field(default_factory=lambda: SeedSpec(0))
 
     def __post_init__(self):
@@ -118,7 +116,6 @@ class TrainingSet:
     thetas: np.ndarray  # (m_theta, 2) rows (scale_i, shape_i)
     alphas: np.ndarray  # (m_theta * m_y, n_quantiles)
     parent_index: np.ndarray  # (m_theta * m_y,)
-    n_obs: int
 
 
 def dataset_draws(config: TrainingConfig, path, rows: int) -> np.ndarray:
@@ -176,7 +173,7 @@ def generate_training_set(config: TrainingConfig) -> TrainingSet:
     alphas = simulated_quantiles(
         config, training_draws(config), thetas[parent, 0], thetas[parent, 1]
     )
-    return TrainingSet(thetas=thetas, alphas=alphas, parent_index=parent, n_obs=config.n_obs)
+    return TrainingSet(thetas=thetas, alphas=alphas, parent_index=parent)
 
 
 @dataclass(frozen=True)
@@ -296,7 +293,7 @@ def estimate(model: TSModel, y) -> tuple[float, float]:
         raise ValueError("observations must be positive and finite")
     # quantiles of positive, finite, sorted data pass validate_quantiles
     alpha = sorted_quantiles(ys, model.n_quantiles)
-    # _read_out's basis row and dots, without its block loop and 2-D buffers
+    # estimate_from_quantiles' basis row and dots, without its block loop and 2-D buffers
     num, den, ratio = row_basis(model.n_quantiles)
     basis = alpha[num]
     np.divide(basis, alpha[den], out=basis, where=ratio)
@@ -317,12 +314,6 @@ def estimate_from_quantiles(model: TSModel, alphas) -> np.ndarray:
         raise ValueError(
             f"model has {model.n_quantiles} quantiles, rows have {alphas.shape[1]}"
         )
-    return _read_out(model, alphas)
-
-
-def _read_out(model: TSModel, alphas: np.ndarray) -> np.ndarray:
-    """The (scale, shape) estimates of quantile rows that have passed
-    validate_quantiles."""
     beta_scale, form = model.beta_scale.beta, model.shape_form
     width = beta_scale.size
     out = np.empty((alphas.shape[0], 2))

@@ -84,12 +84,10 @@ _TABLE_HEADER = ",".join(("method", *_TABLE_COLUMNS))
 
 @dataclass(frozen=True)
 class RiskReport:
-    """Per-point risk estimates for one method; ``errors`` optionally keeps
-    the raw per-run estimation errors (never serialized)."""
+    """Per-point risk estimates for one method."""
 
     method: str
     rows: tuple
-    errors: tuple | None = field(default=None, compare=False)
 
 
 def evaluation_draws(config: ExperimentConfig) -> np.ndarray:
@@ -132,22 +130,20 @@ def evaluation_quantiles(config: ExperimentConfig) -> np.ndarray:
     """Compressed vectors of the evaluation datasets, shaped (points,
     mc_runs, n_quantiles): the runs at point p simulated from that point's
     parameters with the draws of evaluation_draws.  They do not depend on
-    the model, so any number of rules can be scored on one set."""
-    train, ones = config.training, np.ones(config.mc_runs)
+    the model, so any number of rules can be scored on one set.  Every
+    point is simulated in one pass over the stacked runs."""
     draws = evaluation_draws(config)
-    return np.stack(
-        [
-            est.simulated_quantiles(train, draws[p], eta * ones, gam * ones)
-            for p, (eta, gam) in enumerate(config.eval_points)
-        ]
+    params = np.repeat(config.eval_points, config.mc_runs, axis=0)
+    alphas = est.simulated_quantiles(
+        config.training, draws.reshape(-1, draws.shape[-1]), params[:, 0], params[:, 1]
     )
+    return alphas.reshape(*draws.shape[:2], -1)
 
 
 def run_mse_experiment(
     config: ExperimentConfig,
     model: est.TSModel,
     label: str | None = None,
-    keep_errors: bool = False,
     *,
     quantiles: np.ndarray | None = None,
 ) -> RiskReport:
@@ -158,7 +154,7 @@ def run_mse_experiment(
     reproducible and a longer run extends a shorter one run-for-run.
     ``quantiles`` are the datasets' compressed vectors, evaluation_quantiles
     of the config, made here unless a caller that scores several rules
-    passes them.
+    passes them.  Every run at every point is read out in one pass.
     """
     train = config.training
     if model.n_quantiles != train.n_quantiles:
@@ -171,32 +167,27 @@ def run_mse_experiment(
     shape = (len(config.eval_points), config.mc_runs, train.n_quantiles)
     if quantiles.shape != shape:
         raise ValueError(f"evaluation quantiles must be shaped {shape}, got {quantiles.shape}")
+    # an overflow leaves an MSE that is not finite, which RiskRow rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimates = est.estimate_from_quantiles(model, quantiles.reshape(-1, shape[2]))
+        errors = estimates.reshape(*shape[:2], 2) - np.array(config.eval_points)[:, None]
+        mse = np.mean(errors * errors, axis=1)
     rows = []
-    all_errors = []
-    for (eta, gam), alphas in zip(config.eval_points, quantiles):
+    for (eta, gam), (mse_eta, mse_gamma) in zip(config.eval_points, mse.tolist()):
         bound_eta, bound_gamma = crlb(WeibullParams(eta, gam), train.n_obs)
-        # an overflow leaves an MSE that is not finite, which RiskRow rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            errors = est.estimate_from_quantiles(model, alphas) - (eta, gam)
-            mse = np.mean(errors * errors, axis=0)
         rows.append(
             RiskRow(
                 true_eta=eta,
                 true_gamma=gam,
-                mse_eta=float(mse[0]),
-                mse_gamma=float(mse[1]),
+                mse_eta=mse_eta,
+                mse_gamma=mse_gamma,
                 crlb_eta=bound_eta,
                 crlb_gamma=bound_gamma,
-                efficiency_eta=float(mse[0]) / bound_eta,
-                efficiency_gamma=float(mse[1]) / bound_gamma,
+                efficiency_eta=mse_eta / bound_eta,
+                efficiency_gamma=mse_gamma / bound_gamma,
             )
         )
-        all_errors.append(errors)
-    return RiskReport(
-        method=label if label is not None else model.method,
-        rows=tuple(rows),
-        errors=tuple(all_errors) if keep_errors else None,
-    )
+    return RiskReport(method=label if label is not None else model.method, rows=tuple(rows))
 
 
 def reproduce_table(config: ExperimentConfig) -> tuple[RiskReport, RiskReport, RiskReport]:

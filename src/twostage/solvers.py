@@ -91,10 +91,6 @@ class RegressionProblem:
     def n_rows(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
     @cached_property
     def _ridge(self):
         # solved on first use and kept for the life of the problem

@@ -9,7 +9,13 @@ import scipy.optimize
 
 from twostage.compression import FeatureKind
 from twostage.crlb import FisherMatrix
-from twostage.estimator import TrainingConfig, build_feature_matrix, generate_training_set
+from twostage.estimator import (
+    TrainingConfig,
+    build_feature_matrix,
+    estimate_from_quantiles,
+    generate_training_set,
+)
+from twostage.experiment import evaluation_quantiles
 from twostage.rng import SeedSpec, stream
 from twostage.solvers import RegressionProblem, evaluate_max_quadratic
 from twostage.weibull import WeibullParams
@@ -107,6 +113,17 @@ def nearly_collinear_problem(rng: np.random.Generator, ridge: float = 0.0) -> Re
     phi *= 10.0 ** rng.uniform(-2, 2)
     targets = phi @ rng.normal(size=n_feat) + 10.0 ** rng.uniform(-14, -2) * rng.normal(size=n_rows)
     return RegressionProblem(phi, targets, ridge)
+
+
+def run_errors(config, model) -> list:
+    """The per-run estimation errors behind run_mse_experiment's rows, one
+    (mc_runs, 2) array per eval point: each point's runs read out on their
+    own, less the point."""
+    quantiles = evaluation_quantiles(config)
+    return [
+        estimate_from_quantiles(model, quantiles[p]) - point
+        for p, point in enumerate(config.eval_points)
+    ]
 
 
 def sorted_uniform_order_statistics(

@@ -36,6 +36,7 @@ from oracles import (
     fisher_oracle,
     minimax_oracle,
     random_small_problem,
+    run_errors,
     sample_weibull,
     weibull_quantile,
 )
@@ -97,9 +98,13 @@ def bayes_uniform(uniform_training, uniform_training_set):
 
 
 @pytest.fixture(scope="session")
-def uniform_report(uniform_training, bayes_uniform):
-    config = ExperimentConfig(training=uniform_training, emit=frozenset())
-    return run_mse_experiment(config, bayes_uniform, keep_errors=True)
+def uniform_config(uniform_training):
+    return ExperimentConfig(training=uniform_training, emit=frozenset())
+
+
+@pytest.fixture(scope="session")
+def uniform_report(uniform_config, bayes_uniform):
+    return run_mse_experiment(uniform_config, bayes_uniform)
 
 
 @pytest.fixture(scope="session")
@@ -346,8 +351,8 @@ def test_reciprocal_shape_mse_near_published_value(reciprocal_report):
     assert factor <= 5.0
 
 
-def test_split_halves_of_mse_runs_agree(uniform_report):
-    for point_errors in uniform_report.errors:
+def test_split_halves_of_mse_runs_agree(uniform_config, bayes_uniform):
+    for point_errors in run_errors(uniform_config, bayes_uniform):
         sq = point_errors**2
         half = sq.shape[0] // 2
         first, second = sq[:half], sq[half:]

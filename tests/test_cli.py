@@ -245,7 +245,7 @@ class TestFit:
     def test_minimax_solver_failure_exits_3(self, runner, tmp_path, monkeypatch):
         # a minimax fit that no bound certifies to tolerance
         def uncertified(problem, tolerance=None):
-            coeff = solvers.Coefficients(np.zeros(problem.n_features), 1.0, 1.0)
+            coeff = solvers.Coefficients(np.zeros(problem.features.shape[1]), 1.0, 1.0)
             raise solvers.SolverBudgetError("certified gap 1.000e+00 above tolerance", coeff)
 
         monkeypatch.setattr(solvers, "fit_minimax", uncertified)

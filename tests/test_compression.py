@@ -171,11 +171,11 @@ class TestCompress:
     @settings(max_examples=300, deadline=None)
     def test_sorted_sample_lerp_is_the_clamped_lerp(self, values, n):
         # the ends of a sorted sample are ordered, so the clamp that
-        # QuantilePlan.interpolate applies never fires on them
+        # QuantilePlan.quantiles applies never fires on them
         ys = np.array(values)
         plan = quantile_plan(ys.size, n)
         ours = sorted_quantiles(ys, n)
-        clamped = plan.interpolate(ys[plan.sample_gather])
+        clamped = plan.quantiles(ys[plan.ranks])
         np.testing.assert_array_equal(ours.view(np.int64), clamped.view(np.int64))
 
     @given(data_vectors, st.integers(min_value=1, max_value=5))
@@ -338,11 +338,16 @@ class TestFeatureShape:
 @pytest.mark.parametrize("kind", list(FeatureKind))
 @pytest.mark.parametrize(
     "pivots, message",
-    [((0.0, 1.0), "first quantile is zero"), ((-1.0, 0.0), "top quantile is zero")],
-    ids=["first", "top"],
+    [
+        ((0.0, 1.0), "first quantile is zero"),
+        ((-1.0, 0.0), "first quantile is zero or negative"),
+        ((-5.0, -1.0), "first quantile is zero or negative"),
+    ],
+    ids=["first", "top", "negative"],
 )
 def test_feature_matrix_checks_both_pivots(kind, pivots, message):
-    # either map checks both pivots, though each divides by one of them
+    # either map checks both pivots, though each divides by one of them; an
+    # ordered row has a positive top quantile once its first one is positive
     alphas = np.array([[1.0, 2.0, 4.0], [0.5, 0.5, 3.0], [2.0, 3.0, 3.0]])
     features = build_feature_matrix(alphas, kind)
     assert features.flags.c_contiguous

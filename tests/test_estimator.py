@@ -386,9 +386,17 @@ class TestQuadraticFormReadout:
 
     def test_zero_top_quantile_is_degenerate(self):
         model = random_model(3, 0)
-        # the first quantile is non-zero: only the top pivot fails
-        with pytest.raises(DegenerateInputError, match="top quantile is zero"):
+        # in an ordered row a zero top quantile follows a first quantile that
+        # is not positive, which the first-quantile check rejects
+        with pytest.raises(DegenerateInputError, match="first quantile is zero or negative"):
             estimate_from_quantiles(model, [[1.0, 2.0, 3.0], [-2.0, -1.0, 0.0]])
+
+    def test_negative_row_is_degenerate(self):
+        # ordered, finite and free of zeros, but no positive sample has
+        # these quantiles (test_feature_matrix_checks_both_pivots feeds the
+        # fits' feature maps a negative row)
+        with pytest.raises(DegenerateInputError, match="first quantile is zero or negative"):
+            estimate_from_quantiles(fit_bayes(SMALL), [[-5.0, -4.0, -3.0, -2.0, -1.0]])
 
     def test_does_not_build_shape_features(self, monkeypatch):
         model = fit_bayes(SMALL)

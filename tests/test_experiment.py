@@ -29,7 +29,7 @@ from twostage.compression import quantile_plan
 from twostage.rng import stream
 from twostage.weibull import sample_uniform_order_statistics
 
-from oracles import weibull_quantile
+from oracles import run_errors, weibull_quantile
 
 TINY_TRAIN = TrainingConfig(
     m_theta=12,
@@ -150,9 +150,9 @@ class TestRunMseExperiment:
 
     def test_doubling_runs_extends_error_stream(self):
         model = fit_bayes(TINY_TRAIN)
-        short = run_mse_experiment(tiny_config(mc_runs=3), model, keep_errors=True)
-        long = run_mse_experiment(tiny_config(mc_runs=6), model, keep_errors=True)
-        for a, b in zip(short.errors, long.errors):
+        short = run_errors(tiny_config(mc_runs=3), model)
+        long = run_errors(tiny_config(mc_runs=6), model)
+        for a, b in zip(short, long):
             np.testing.assert_array_equal(a, b[:3])
 
     def test_crlb_columns_match_module_exactly(self):
@@ -202,7 +202,7 @@ class TestRunMseExperiment:
         runs = est._BLOCK_ROWS + 3
         model = fit_bayes(TINY_TRAIN)
         config = tiny_config(mc_runs=runs, eval_points=((4.0, 8.0),))
-        report = run_mse_experiment(config, model, keep_errors=True)
+        errors = run_errors(config, model)
         plan = quantile_plan(TINY_TRAIN.n_obs, TINY_TRAIN.n_quantiles)
         u = sample_uniform_order_statistics(
             stream(TINY_TRAIN.seed, est.EVAL_STREAM, 0), TINY_TRAIN.n_obs, plan.ranks, runs
@@ -211,14 +211,39 @@ class TestRunMseExperiment:
         expected = np.array(
             [est.estimate_from_quantiles(model, alphas[r : r + 1])[0] for r in range(runs)]
         )
-        np.testing.assert_allclose(report.errors[0], expected - (4.0, 8.0), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(errors[0], expected - (4.0, 8.0), rtol=1e-12, atol=0)
+
+    def test_one_pass_equals_point_by_point(self):
+        # every point simulated and read out in one pass, with readout
+        # blocks that straddle points, gives each point's own values
+        runs = est._BLOCK_ROWS // 2 + 5
+        points = ((2.0, 2.0), (4.0, 8.0), (8.0, 2.0))
+        config = tiny_config(mc_runs=runs, eval_points=points)
+        model = fit_bayes(TINY_TRAIN)
+        draws, ones = exp.evaluation_draws(config), np.ones(runs)
+        quantiles = exp.evaluation_quantiles(config)
+        report = run_mse_experiment(config, model)
+        for p, ((eta, gam), row) in enumerate(zip(points, report.rows)):
+            alphas = est.simulated_quantiles(TINY_TRAIN, draws[p], eta * ones, gam * ones)
+            np.testing.assert_array_equal(quantiles[p], alphas)
+            errors = est.estimate_from_quantiles(model, alphas) - (eta, gam)
+            mse = np.mean(errors * errors, axis=0)
+            bounds = crlb(WeibullParams(eta, gam), TINY_TRAIN.n_obs)
+            assert row == exp.RiskRow(
+                true_eta=eta,
+                true_gamma=gam,
+                crlb_eta=bounds[0],
+                crlb_gamma=bounds[1],
+                mse_eta=float(mse[0]),
+                mse_gamma=float(mse[1]),
+                efficiency_eta=float(mse[0]) / bounds[0],
+                efficiency_gamma=float(mse[1]) / bounds[1],
+            )
 
     def test_split_halves_agree_within_standard_errors(self):
         model = fit_bayes(TINY_TRAIN)
-        report = run_mse_experiment(
-            tiny_config(mc_runs=200, eval_points=((2.0, 2.0),)), model, keep_errors=True
-        )
-        sq = report.errors[0] ** 2
+        errors = run_errors(tiny_config(mc_runs=200, eval_points=((2.0, 2.0),)), model)
+        sq = errors[0] ** 2
         first, second = sq[:100], sq[100:]
         for col in (0, 1):
             diff = abs(first[:, col].mean() - second[:, col].mean())

@@ -573,7 +573,7 @@ def kkt_system(problem, rows, sides):
     """The working-set KKT matrix and right-hand side, built densely:
     equations [stationarity, tau, rows], variables [beta, tau, z]."""
     phi, t, lam = problem.features, problem.targets, problem.ridge
-    m, k = problem.n_features, len(rows)
+    m, k = phi.shape[1], len(rows)
     G = np.column_stack([phi[rows], sides])
     K = np.zeros((m + 1 + k, m + 1 + k))
     K[:m, :m] = 2.0 * lam * np.eye(m)
