@@ -11,7 +11,7 @@ benchmark run; test references and oracles live in tests/oracles.py.
 """
 
 from .compression import DegenerateInputError, FeatureKind, order_statistics
-from .crlb import FisherMatrix, crlb, fisher_per_sample
+from .crlb import crlb, fisher_per_sample
 from .estimator import (
     METHOD_BAYES,
     METHOD_MINIMAX,
@@ -50,7 +50,6 @@ __all__ = [
     "DegenerateInputError",
     "FeatureKind",
     "order_statistics",
-    "FisherMatrix",
     "crlb",
     "fisher_per_sample",
     "METHOD_BAYES",

@@ -14,7 +14,6 @@ estimate of E[score score'] (tests/oracles.py, fisher_oracle).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,30 +22,15 @@ from .weibull import WeibullParams
 EULER_GAMMA = 0.57721566490153286060651209008240243
 
 
-@dataclass(frozen=True)
-class FisherMatrix:
-    """Symmetric positive-definite 2x2 per-observation information matrix,
-    ordered (scale, shape)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", e)
-        if e.shape != (2, 2):
-            raise ValueError("entries must be a 2x2 matrix")
-        if not np.allclose(e, e.T, rtol=0.0, atol=0.0):
-            raise ValueError("entries must be symmetric")
-
-
-def fisher_per_sample(params: WeibullParams) -> FisherMatrix:
-    """Closed-form per-observation Fisher information."""
+def fisher_per_sample(params: WeibullParams) -> np.ndarray:
+    """Closed-form per-observation Fisher information: the symmetric 2x2
+    matrix ordered (scale, shape)."""
     eta, gam = params.scale, params.shape
     c = 1.0 - EULER_GAMMA
     i_ee = (gam / eta) ** 2
     i_eg = -c / eta
     i_gg = (math.pi**2 / 6.0 + c * c) / gam**2
-    return FisherMatrix(np.array([[i_ee, i_eg], [i_eg, i_gg]]))
+    return np.array([[i_ee, i_eg], [i_eg, i_gg]])
 
 
 def crlb(params: WeibullParams, n_obs: int) -> tuple[float, float]:
@@ -57,7 +41,7 @@ def crlb(params: WeibullParams, n_obs: int) -> tuple[float, float]:
         raise ValueError("n_obs must be >= 1")
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            info = fisher_per_sample(params).entries
+            info = fisher_per_sample(params)
             det = info[0, 0] * info[1, 1] - info[0, 1] * info[1, 0]
             bounds = (float(info[1, 1] / (det * n_obs)), float(info[0, 0] / (det * n_obs)))
     except (OverflowError, FloatingPointError):

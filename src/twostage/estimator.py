@@ -156,20 +156,24 @@ def training_draws(config: TrainingConfig) -> np.ndarray:
     return np.stack(replicates, axis=1).reshape(config.m_theta * config.m_y, -1)
 
 
+def parameter_draws(config: TrainingConfig, tag: int) -> np.ndarray:
+    """config.m_theta (scale, shape) rows of config.theta_distribution, the
+    scales from the sub-stream (tag, 0) and the shapes from (tag, 1)."""
+    dist, seed, m = config.theta_distribution, config.seed, config.m_theta
+    draws = [prior_inverse_cdf(stream(seed, tag, k).random(m), dist) for k in (0, 1)]
+    return np.column_stack(draws)
+
+
 def generate_training_set(config: TrainingConfig) -> TrainingSet:
     """Draw parameters from the configured distribution and compress one
     simulated dataset per (draw, replicate).
 
-    Deterministic given config.seed: replicate j of every parameter draw
-    comes from replicate j's sub-stream, one row per draw, so a larger
-    m_theta or m_y extends a smaller one.
+    Deterministic given config.seed: the draws come from THETA_STREAM and
+    replicate j of every draw from replicate j's sub-stream, one row per
+    draw, so a larger m_theta or m_y extends a smaller one.
     """
-    dist, seed, m = config.theta_distribution, config.seed, config.m_theta
-
-    thetas = np.empty((m, 2))
-    thetas[:, 0] = prior_inverse_cdf(stream(seed, THETA_STREAM, 0).random(m), dist)
-    thetas[:, 1] = prior_inverse_cdf(stream(seed, THETA_STREAM, 1).random(m), dist)
-    parent = np.repeat(np.arange(m), config.m_y)
+    thetas = parameter_draws(config, THETA_STREAM)
+    parent = np.repeat(np.arange(config.m_theta), config.m_y)
     alphas = simulated_quantiles(
         config, training_draws(config), thetas[parent, 0], thetas[parent, 1]
     )

@@ -15,13 +15,13 @@ import numpy as np
 from . import estimator as est
 from ._files import write_text_atomic
 from .crlb import crlb
-from .priors import PriorKind, PriorSpec, prior_inverse_cdf
-from .rng import stream
+from .priors import PriorKind, PriorSpec
 from .weibull import WeibullParams
 
 TABLE_POINTS = ((2.0, 2.0), (2.0, 8.0), (4.0, 2.0), (4.0, 8.0), (8.0, 2.0), (8.0, 8.0))
 EMIT_KINDS = frozenset({"scatter", "table", "model"})
 _SCATTER_HEADER = "true_eta,true_gamma,est_eta,est_gamma"
+_SCATTER_ROW = "%.17g,%.17g,%.17g,%.17g"
 
 
 @dataclass(frozen=True)
@@ -110,20 +110,14 @@ def scatter_draws(config: ExperimentConfig) -> np.ndarray:
     return est.dataset_draws(config.training, (est.SCATTER_STREAM, 2), config.training.m_theta)
 
 
-def scatter_datasets(
-    config: ExperimentConfig, draws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def scatter_datasets(config: ExperimentConfig, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The scatter datasets' true parameters and compressed vectors:
-    (true_eta, true_gamma, alphas), the parameters drawn from the training
-    distribution on the sub-streams (SCATTER_STREAM, 0) and (SCATTER_STREAM,
-    1), the datasets simulated from them with ``draws``, which are
-    scatter_draws of the config.  Rules trained under one distribution
-    share them."""
-    train = config.training
-    dist, seed, m = train.theta_distribution, train.seed, train.m_theta
-    true_eta = prior_inverse_cdf(stream(seed, est.SCATTER_STREAM, 0).random(m), dist)
-    true_gamma = prior_inverse_cdf(stream(seed, est.SCATTER_STREAM, 1).random(m), dist)
-    return true_eta, true_gamma, est.simulated_quantiles(train, draws, true_eta, true_gamma)
+    (thetas, alphas), the (scale, shape) rows parameter_draws of the
+    training config under SCATTER_STREAM, the datasets simulated from them
+    with ``draws``, which are scatter_draws of the config.  Rules trained
+    under one distribution share them."""
+    thetas = est.parameter_draws(config.training, est.SCATTER_STREAM)
+    return thetas, est.simulated_quantiles(config.training, draws, thetas[:, 0], thetas[:, 1])
 
 
 def evaluation_quantiles(config: ExperimentConfig) -> np.ndarray:
@@ -248,7 +242,7 @@ def emit_scatter(
     config: ExperimentConfig,
     label: str | None = None,
     *,
-    datasets: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    datasets: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Path:
     """Simulate fresh parameter draws, estimate them, and write the scatter
     rows (true_eta, true_gamma, est_eta, est_gamma) behind the method's
@@ -260,16 +254,25 @@ def emit_scatter(
         raise ValueError("model/config n_quantiles mismatch")
     if datasets is None:
         datasets = scatter_datasets(config, scatter_draws(config))
-    true_eta, true_gamma, alphas = datasets
-    estimates = est.estimate_from_quantiles(model, alphas)
-
+    thetas, alphas = datasets
+    rows = np.column_stack((thetas, est.estimate_from_quantiles(model, alphas)))
     config.output_dir.mkdir(parents=True, exist_ok=True)
     path = config.output_dir / f"scatter_{label if label else model.method}.csv"
-    # Python floats format faster than numpy scalars, to the same digits
-    rows = np.column_stack((true_eta, true_gamma, estimates)).tolist()
-    lines = [_SCATTER_HEADER]
-    lines.extend(f"{a:.17g},{b:.17g},{c:.17g},{d:.17g}" for a, b, c, d in rows)
-    return write_text_atomic(path, "\n".join(lines) + "\n")
+    # one template over the rows' Python floats: faster than numpy scalars, same digits
+    template = "\n".join([_SCATTER_HEADER, *[_SCATTER_ROW] * len(rows), ""])
+    return write_text_atomic(path, template % tuple(rows.ravel().tolist()))
+
+
+def _parse_row(path, line: str, width: int, parse):
+    """``parse`` of the ``width`` comma-separated fields of a row; a row that
+    does not parse raises ValueError naming the file and the row."""
+    tokens = line.split(",")
+    try:
+        if len(tokens) != width:
+            raise ValueError(f"{len(tokens)} fields, expected {width}")
+        return parse(tokens)
+    except ValueError as err:
+        raise ValueError(f"{path}: malformed row {line!r} ({err})") from None
 
 
 def read_scatter(path) -> np.ndarray:
@@ -277,10 +280,8 @@ def read_scatter(path) -> np.ndarray:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != _SCATTER_HEADER:
         raise ValueError(f"{path}: not a scatter file")
-    malformed = [line for line in lines[1:] if line.count(",") != 3]
-    if malformed:
-        raise ValueError(f"{path}: malformed row {malformed[0]!r}")
-    return np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
+    rows = [_parse_row(path, line, 4, lambda t: [*map(float, t)]) for line in lines[1:]]
+    return np.array(rows)
 
 
 def write_risk_reports(reports, path) -> Path:
@@ -300,12 +301,9 @@ def read_risk_reports(path) -> tuple[RiskReport, ...]:
     if not lines or lines[0] != _TABLE_HEADER:
         raise ValueError(f"{path}: not a risk table file")
     reports: list[tuple[str, list[RiskRow]]] = []
+    width = 1 + len(_TABLE_COLUMNS)
     for line in lines[1:]:
-        tokens = line.split(",")
-        if len(tokens) != 1 + len(_TABLE_COLUMNS):
-            raise ValueError(f"{path}: malformed row {line!r}")
-        method = tokens[0]
-        row = RiskRow(**{name: float(tok) for name, tok in zip(_TABLE_COLUMNS, tokens[1:])})
+        method, row = _parse_row(path, line, width, lambda t: (t[0], RiskRow(*map(float, t[1:]))))
         if not reports or reports[-1][0] != method:
             reports.append((method, []))
         reports[-1][1].append(row)

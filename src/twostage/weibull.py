@@ -33,7 +33,9 @@ class WeibullParams:
 def weibull_quantile_rows(p, scales, shapes) -> np.ndarray:
     """Row i of the 2-D array p, in [0, 1), through the quantile function
     scale * (-log(1-p))^(1/shape) of (scales[i], shapes[i])."""
-    p_arr = _probabilities(p)
+    p_arr = np.asarray(p, dtype=float)
+    if np.any(p_arr < 0) or np.any(p_arr >= 1):
+        raise ValueError("p must lie in [0, 1)")
     scales = np.asarray(scales, dtype=float)
     shapes = np.asarray(shapes, dtype=float)
     if p_arr.ndim != 2 or not scales.shape == shapes.shape == (p_arr.shape[0],):
@@ -42,13 +44,6 @@ def weibull_quantile_rows(p, scales, shapes) -> np.ndarray:
         if not np.all(np.isfinite(values) & (values > 0)):
             raise ValueError(f"{name} must be a positive real")
     return scales[:, None] * (-np.log1p(-p_arr)) ** (1.0 / shapes)[:, None]
-
-
-def _probabilities(p) -> np.ndarray:
-    p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr < 0) or np.any(p_arr >= 1):
-        raise ValueError("p must lie in [0, 1)")
-    return p_arr
 
 
 # the largest double below 1, the top of a uniform draw's range

@@ -8,7 +8,6 @@ import numpy as np
 import scipy.optimize
 
 from twostage.compression import FeatureKind
-from twostage.crlb import FisherMatrix
 from twostage.estimator import (
     TrainingConfig,
     build_feature_matrix,
@@ -223,7 +222,7 @@ def weibull_score(x, params: WeibullParams) -> np.ndarray:
     return np.stack([s_eta, s_gam], axis=-1)
 
 
-def fisher_oracle(params: WeibullParams, n_draws: int, seed: SeedSpec) -> FisherMatrix:
+def fisher_oracle(params: WeibullParams, n_draws: int, seed: SeedSpec) -> np.ndarray:
     """Monte-Carlo estimate of E[score score'] from n_draws observations, the
     oracle for crlb.fisher_per_sample.
 
@@ -237,4 +236,4 @@ def fisher_oracle(params: WeibullParams, n_draws: int, seed: SeedSpec) -> Fisher
     u = (np.arange(n_draws) + stream(seed).random(n_draws)) / n_draws
     x = weibull_quantile(np.maximum(u, 1e-300), params)
     s = weibull_score(x, params)
-    return FisherMatrix(s.T @ s / n_draws)
+    return s.T @ s / n_draws

@@ -143,8 +143,8 @@ def test_criterion_2_fisher_closed_form_oracle():
         for gamma in (1.0, 2.0, 8.0):
             params = WeibullParams(eta, gamma)
             seed = SeedSpec(1000 + int(10 * eta + gamma))
-            est_info = fisher_oracle(params, 10**6, seed).entries
-            ref = fisher_per_sample(params).entries
+            est_info = fisher_oracle(params, 10**6, seed)
+            ref = fisher_per_sample(params)
             worst = max(worst, float(np.max(np.abs(est_info - ref) / np.abs(ref))))
     elapsed = time.perf_counter() - start
     report(

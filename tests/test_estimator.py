@@ -318,6 +318,13 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate(model, np.ones(SMALL.n_quantiles))
 
+    def test_rejects_a_sample_that_is_not_a_vector(self):
+        model = fit_bayes(SMALL)
+        y = weibull_quantile(stream(SeedSpec(503), 0).random(300), WeibullParams(3.0, 2.0))
+        estimate(model, y)
+        with pytest.raises(ValueError, match="1-D vector"):
+            estimate(model, y.reshape(30, 10))
+
     @pytest.mark.parametrize(
         "corrupt",
         [

@@ -328,10 +328,12 @@ def test_readers_reject_foreign_file_and_malformed_rows(reader, tmp_path):
     with pytest.raises(ValueError, match="not a"):
         reader(foreign)
     header, *rows = own.read_text().splitlines()
-    # every row loses its last field
-    own.write_text("\n".join([header] + [row.rsplit(",", 1)[0] for row in rows]) + "\n")
-    with pytest.raises(ValueError, match="malformed row"):
-        reader(own)
+    # every row loses its last field, or its last field is not a number
+    for tail in ("", ",x"):
+        bad = [row.rsplit(",", 1)[0] + tail for row in rows]
+        own.write_text("\n".join([header] + bad) + "\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{own}: malformed row {bad[0]!r}")):
+            reader(own)
 
 
 class TestAtomicWrites:
