@@ -158,7 +158,10 @@ def estimate_command(model_path, data_path):
 
     def action():
         model = est.load_model(model_path)
-        y = [float(tok) for tok in Path(data_path).read_text().split()]
+        try:
+            y = [float(tok) for tok in Path(data_path).read_text().split()]
+        except ValueError as err:
+            raise ValueError(f"{data_path}: malformed observation ({err})") from None
         eta_hat, gamma_hat = est.estimate(model, y)
         for name, value in (("est_eta", eta_hat), ("est_gamma", gamma_hat)):
             if not (math.isfinite(value) and value > 0):

@@ -244,6 +244,9 @@ def fit_methods(
                 problem = solvers.RegressionProblem(features, targets[:, column], ridge)
                 for method in methods:
                     coeffs[method].append(fits[method](problem))
+            except np.linalg.LinAlgError as err:
+                # a ValueError subclass, but the solver failed, not the input
+                raise solvers.SolverError(f"the {kind.value} fit failed: {err}") from err
             except ValueError as err:
                 raise ValueError(f"the {kind.value} readout overflows float64: {err}") from None
     n_q = training_set.alphas.shape[1]

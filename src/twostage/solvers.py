@@ -96,11 +96,6 @@ class RegressionProblem:
         # solved on first use and kept for the life of the problem
         return _solve_ridge(self)
 
-    @cached_property
-    def _kkt_scales(self):
-        # fixed per problem, so a row keeps its scales in every working set
-        return _working_set_scales(self)
-
 
 @dataclass(frozen=True)
 class Coefficients:
@@ -579,62 +574,39 @@ def _active_set_refine(
     return best_beta, best_f, best_lb, steps
 
 
-def _working_set_scales(problem: RegressionProblem):
-    """Row and column scales of the working-set KKT system, by two max-abs
-    passes over the system with every row active: (row scales of the
-    stationarity and tau equations, of each constraint row; column scales
-    of beta and tau, of each multiplier).  The system's entries are
-    2 ridge, 2, |phi_j| and 1."""
-    a, lam2 = np.abs(problem.features), 2.0 * problem.ridge
-    M, m = a.shape
-    c_beta, c_tau, c_z = np.ones(m), 1.0, np.ones(M)
-    for _ in range(2):
-        r_stat = np.maximum(lam2 / c_beta, np.max(a / c_z[:, None], axis=0))
-        r_tau = max(2.0 / c_tau, float(np.max(1.0 / c_z)))
-        r_row = np.maximum(np.max(a / c_beta, axis=1), 1.0 / c_tau)
-        c_beta = np.maximum(lam2 / r_stat, np.max(a / r_row[:, None], axis=0))
-        c_tau = max(2.0 / r_tau, float(np.max(1.0 / r_row)))
-        c_z = np.maximum(np.max(a / r_stat, axis=1), 1.0 / r_tau)
-    return np.append(r_stat, r_tau), r_row, np.append(c_beta, c_tau), c_z
-
-
 def _solve_working_set(problem: RegressionProblem, rows, sides):
     """(beta, tau, z) of a working set's KKT system, or None if it is
     singular.
 
     Equations [stationarity (m), tau, rows (k)] by variables [beta (m), tau,
-    z (k)], active row j multiplied by its side s_j, equilibrated by the
-    problem's fixed scales.  Solves from zero with the inverse of the
-    equilibrated matrix, refining with an extended-precision residual while
-    each correction at least halves.
+    z (k)], active row j multiplied by its side s_j.  Solves from zero with
+    the inverse of the matrix, refining with an extended-precision residual
+    while each correction at least halves.
     """
     phi, t = problem.features, problem.targets
     m = phi.shape[1]
     rows, sides = np.asarray(rows, dtype=int), np.asarray(sides, dtype=float)
-    r_head, r_row, c_head, c_z = problem._kkt_scales
     h = np.append(np.full(m, 2.0 * problem.ridge), 2.0)
     head = m + 1
     g = np.column_stack([sides[:, None] * phi[rows], np.ones(rows.size)])
-    r = np.append(r_head, r_row[rows])
-    c = np.append(c_head, c_z[rows])
     K = np.block([[np.diag(h), -g.T], [g, np.zeros((len(g), len(g)))]])
     try:
-        binv = np.linalg.inv(K / r[:, None] / c)
+        kinv = np.linalg.inv(K)
     except np.linalg.LinAlgError:
         return None  # exact singularity: a degenerate working set
-    g, rhs = g.astype(np.longdouble), (sides * t[rows]).astype(np.longdouble)
-    x = np.zeros(r.size, dtype=np.longdouble)
-    res, step = np.append(np.zeros(head), rhs / r[head:]).astype(float), np.inf
+    res = np.append(np.zeros(head), sides * t[rows])
+    g, rhs = g.astype(np.longdouble), res[head:].astype(np.longdouble)
+    x, step = np.zeros(len(K), dtype=np.longdouble), np.inf
     while True:
-        dy = binv @ res
-        size = float(np.max(np.abs(dy)))
+        dx = kinv @ res
+        size = float(np.max(np.abs(dx)))
         if not size < 0.5 * step:
             break
-        x += dy / c
+        x += dx
         step = size
-        # rhs - K x by blocks, equilibrated
+        # rhs - K x by blocks
         res = np.concatenate([np.dot(x[head:], g) - h * x[:head], rhs - np.dot(g, x[:head])])
-        res = (res / r).astype(float)
+        res = res.astype(float)
     x = x.astype(float)
     if not np.all(np.isfinite(x)):
         return None

@@ -3,6 +3,7 @@ the sampler, quantile, feature-map, solver, Fisher-information and
 acceptance tests."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.optimize
@@ -237,3 +238,37 @@ def fisher_oracle(params: WeibullParams, n_draws: int, seed: SeedSpec) -> np.nda
     x = weibull_quantile(np.maximum(u, 1e-300), params)
     s = weibull_score(x, params)
     return s.T @ s / n_draws
+
+
+def exact_weighted_minimum(u, problem: RegressionProblem) -> Fraction:
+    """W(u) = min_beta sum_i u_i (t_i - phi_i . beta)^2 in exact rational
+    arithmetic: the float weights, rows and targets are read as the
+    rationals they are, and the normal equations Phi'U Phi beta = Phi'U t,
+    always consistent, are solved by Gauss-Jordan elimination with every
+    free variable at 0; any solution attains the minimum."""
+    u = [Fraction(w) for w in np.asarray(u, dtype=float).tolist()]
+    phi = [[Fraction(v) for v in row] for row in problem.features.tolist()]
+    t = [Fraction(v) for v in problem.targets.tolist()]
+    m = len(phi[0])
+    system = [
+        [sum(w * row[j] * row[k] for w, row in zip(u, phi)) for k in range(m)]
+        + [sum(w * row[j] * y for w, row, y in zip(u, phi, t))]
+        for j in range(m)
+    ]
+    pivots = []
+    for col in range(m):
+        lead = next((i for i in range(len(pivots), m) if system[i][col] != 0), None)
+        if lead is None:
+            continue
+        r = len(pivots)
+        system[r], system[lead] = system[lead], system[r]
+        system[r] = [v / system[r][col] for v in system[r]]
+        for i in range(m):
+            if i != r and system[i][col] != 0:
+                factor = system[i][col]
+                system[i] = [a - factor * b for a, b in zip(system[i], system[r])]
+        pivots.append(col)
+    beta = [Fraction(0)] * m
+    for r, col in enumerate(pivots):
+        beta[col] = system[r][m]
+    return sum(w * (y - sum(a * b for a, b in zip(row, beta))) ** 2 for w, row, y in zip(u, phi, t))

@@ -254,6 +254,17 @@ class TestFit:
         assert result.exit_code == 3
         assert "solver failure" in result.output
 
+    def test_lapack_failure_in_a_fit_exits_3(self, runner, tmp_path, monkeypatch):
+        # LinAlgError subclasses ValueError, yet the solver failed, not the input
+        def not_positive_definite(*args, **kwargs):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(solvers, "_ipm_epigraph", not_positive_definite)
+        cfg = tiny_config_file(tmp_path)
+        result = runner.invoke(main, ["fit", "--config", str(cfg), "--method", "minimax"])
+        assert result.exit_code == 3
+        assert result.output.startswith("solver failure: the scale fit failed: Matrix is not")
+
     @pytest.mark.parametrize("n_obs", ["100000000000000000000", "9223372036854775807"])
     def test_n_obs_beyond_float64_exits_2(self, tmp_path, n_obs):
         # quantile positions are float64, so a larger N is refused by name
@@ -579,6 +590,17 @@ class TestEstimate:
         )
         assert result.exit_code == 2
         assert "positive and finite" in result.output
+
+    def test_malformed_data_names_the_file(self, runner, tmp_path, model_and_data):
+        model_path, y = model_and_data
+        data = tmp_path / "y.txt"
+        data.write_text(" ".join(f"{v:.17g}" for v in y) + " abc")
+        result = runner.invoke(
+            main, ["estimate", "--model", str(model_path), "--data", str(data)]
+        )
+        assert result.exit_code == 2
+        assert result.output.startswith(f"invalid input: {data}: malformed observation (")
+        assert "'abc'" in result.output
 
     def test_version_1_model_exits_2(self, runner, tmp_path, model_and_data):
         model_path, y = model_and_data

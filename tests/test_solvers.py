@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from twostage.solvers import (
     mean_squared_objective,
 )
 
-from oracles import minimax_oracle, nearly_collinear_problem, random_small_problem, training_problem
+from oracles import (
+    exact_weighted_minimum,
+    minimax_oracle,
+    nearly_collinear_problem,
+    random_small_problem,
+    training_problem,
+)
 from test_cli import run_python
 
 
@@ -518,6 +525,15 @@ class TestFitMinimax:
         assert fit.trace["closed_by"] == "interior point"
         assert fit.trace["ipm_gaps"][-1] <= 1e-8 * fit.objective
 
+    def test_fit_that_needs_a_cholesky_shift_certifies(self):
+        # nearly collinear columns at ridge 0: the reduced Newton system
+        # fails its Cholesky test, and the interior point goes on with a
+        # shifted diagonal; stopping at the first failed factorization
+        # leaves this fit uncertified
+        fit = fit_minimax(nearly_collinear_problem(np.random.default_rng(48)))
+        assert fit.trace["cholesky_retries"] > 0
+        assert fit.trace["closed_by"] == "interior point"
+
     @pytest.mark.parametrize("ridge", [1e-8, 0.0])
     def test_lower_bound_never_above_oracle(self, ridge):
         # objective - certificate is a lower bound on the optimum, so no
@@ -568,6 +584,16 @@ class TestFitMinimax:
                 r = problem.targets.astype(ld) - problem.features.astype(ld) @ beta_u.astype(ld)
                 assert ld(bound) <= u.astype(ld) @ (r * r)
 
+    def test_weighted_bound_below_exact_minimum(self):
+        # nearly collinear columns: the weighted objective at the lstsq
+        # solution lies above W(u), the exact minimum, and only the
+        # subtracted remaining descent brings L(u) below it
+        rng = np.random.default_rng(123)
+        problem = nearly_collinear_problem(rng)
+        u = rng.dirichlet(np.ones(problem.n_rows))
+        bound, _ = _weighted_lower_bound(u, problem)
+        assert 0.0 < Fraction(bound) <= exact_weighted_minimum(u, problem)
+
 
 def kkt_system(problem, rows, sides):
     """The working-set KKT matrix and right-hand side, built densely:
@@ -588,8 +614,8 @@ def componentwise_backward_error(K, rhs, x):
 
 
 class TestWorkingSetKKT:
-    """The exchange's KKT kernel: the equilibrated working-set system,
-    inverted and refined at every solve."""
+    """The exchange's KKT kernel: the working-set system, inverted and
+    refined at every solve."""
 
     @staticmethod
     def solution(problem, rows, sides):
@@ -625,14 +651,17 @@ class TestWorkingSetKKT:
         assert _solve_working_set(problem, rows, [1.0] * len(rows)) is None
 
     def test_drop_of_a_zero_pivot_keeps_no_inverse(self):
-        # five copies of one row on one side: the inverse is not flagged as
-        # singular, and the set with one copy taken out solves cleanly or to
-        # None, with no warning
+        # five copies of one row on one side: the system is exactly singular
+        # (rank 33 of 37) and solves to None; the set with one copy taken
+        # out is singular too, and solves to None or to finite numbers, with
+        # no warning
         problem = repeated_row_problem()
         rows = np.array([74, 51, 53, 50, 54, 52])
+        K, _ = kkt_system(problem, rows, np.full(6, -1.0))
+        assert (np.linalg.matrix_rank(K), len(K)) == (33, 37)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _solve_working_set(problem, rows, [-1.0] * 6) is not None
+            assert _solve_working_set(problem, rows, [-1.0] * 6) is None
             sol = _solve_working_set(problem, np.delete(rows, 2), [-1.0] * 5)
         assert sol is None or all(np.all(np.isfinite(part)) for part in sol)
 
