@@ -118,42 +118,19 @@ class TrainingSet:
     parent_index: np.ndarray  # (m_theta * m_y,)
 
 
-def dataset_draws(config: TrainingConfig, path, rows: int) -> np.ndarray:
-    """``rows`` rows, each the uniform order statistics that the quantiles
-    of one dataset of config.n_obs observations read, drawn in order from
-    the sub-stream ``stream(config.seed, *path)``; more rows extend fewer
-    row for row.  Mapped through the Weibull quantile function of any
-    parameters, a row gives that dataset's quantiles (see
-    simulated_quantiles).  The cost does not grow with config.n_obs."""
+def simulated_quantiles(config: TrainingConfig, path, scales, shapes) -> np.ndarray:
+    """Compressed vectors of the datasets of config.n_obs observations
+    simulated from the parameters (scales[r], shapes[r]), one row each: row
+    r maps row r of the uniform order statistics at quantile_plan's ranks,
+    drawn in order from the sub-stream ``stream(config.seed, *path)``,
+    through that row's Weibull quantile function.  So every parameter
+    vector on one path reads the same draws, and more rows extend fewer
+    row for row.  The cost does not grow with config.n_obs."""
     plan = quantile_plan(config.n_obs, config.n_quantiles)
-    return sample_uniform_order_statistics(
-        stream(config.seed, *path), config.n_obs, plan.ranks, rows
+    draws = sample_uniform_order_statistics(
+        stream(config.seed, *path), config.n_obs, plan.ranks, len(scales)
     )
-
-
-def simulated_quantiles(config: TrainingConfig, draws, scales, shapes) -> np.ndarray:
-    """Compressed vectors, one row per row of ``draws`` (uniform order
-    statistics from dataset_draws), of the datasets simulated from the
-    parameters (scales[r], shapes[r])."""
-    plan = quantile_plan(config.n_obs, config.n_quantiles)
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim != 2 or draws.shape[1] != plan.ranks.size:
-        raise ValueError(
-            f"draws must have {plan.ranks.size} order statistics per row for "
-            f"n_obs={config.n_obs}, n_quantiles={config.n_quantiles}"
-        )
     return plan.quantiles(weibull_quantile_rows(draws, scales, shapes))
-
-
-def training_draws(config: TrainingConfig) -> np.ndarray:
-    """Uniform order statistics of the training datasets: row i*m_y + j is
-    replicate j of parameter draw i, row i of replicate j's sub-stream
-    (TRAIN_DATA_STREAM, j).  They do not depend on the parameter
-    distribution."""
-    replicates = [
-        dataset_draws(config, (TRAIN_DATA_STREAM, j), config.m_theta) for j in range(config.m_y)
-    ]
-    return np.stack(replicates, axis=1).reshape(config.m_theta * config.m_y, -1)
 
 
 def parameter_draws(config: TrainingConfig, tag: int) -> np.ndarray:
@@ -168,15 +145,18 @@ def generate_training_set(config: TrainingConfig) -> TrainingSet:
     """Draw parameters from the configured distribution and compress one
     simulated dataset per (draw, replicate).
 
-    Deterministic given config.seed: the draws come from THETA_STREAM and
-    replicate j of every draw from replicate j's sub-stream, one row per
-    draw, so a larger m_theta or m_y extends a smaller one.
+    Deterministic given config.seed: the draws come from THETA_STREAM, and
+    replicate j of draw i reads row i of the order statistics on the path
+    (TRAIN_DATA_STREAM, j), which the parameter distribution does not
+    change; so a larger m_theta or m_y extends a smaller one.
     """
     thetas = parameter_draws(config, THETA_STREAM)
+    replicates = [
+        simulated_quantiles(config, (TRAIN_DATA_STREAM, j), thetas[:, 0], thetas[:, 1])
+        for j in range(config.m_y)
+    ]
+    alphas = np.stack(replicates, axis=1).reshape(config.m_theta * config.m_y, -1)
     parent = np.repeat(np.arange(config.m_theta), config.m_y)
-    alphas = simulated_quantiles(
-        config, training_draws(config), thetas[parent, 0], thetas[parent, 1]
-    )
     return TrainingSet(thetas=thetas, alphas=alphas, parent_index=parent)
 
 

@@ -90,48 +90,32 @@ class RiskReport:
     rows: tuple
 
 
-def evaluation_draws(config: ExperimentConfig) -> np.ndarray:
-    """Uniform order statistics of the evaluation datasets, shaped
-    (points, mc_runs, order statistics): the runs at point p are the rows
-    of its own sub-stream (EVAL_STREAM, p) under the training seed, disjoint
-    from the training streams.  They depend on neither the model nor the
-    parameter distribution."""
-    return np.stack(
-        [
-            est.dataset_draws(config.training, (est.EVAL_STREAM, p), config.mc_runs)
-            for p in range(len(config.eval_points))
-        ]
-    )
-
-
-def scatter_draws(config: ExperimentConfig) -> np.ndarray:
-    """Uniform order statistics of the scatter datasets, one row per
-    parameter draw, from the sub-stream (SCATTER_STREAM, 2)."""
-    return est.dataset_draws(config.training, (est.SCATTER_STREAM, 2), config.training.m_theta)
-
-
-def scatter_datasets(config: ExperimentConfig, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def scatter_datasets(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """The scatter datasets' true parameters and compressed vectors:
     (thetas, alphas), the (scale, shape) rows parameter_draws of the
-    training config under SCATTER_STREAM, the datasets simulated from them
-    with ``draws``, which are scatter_draws of the config.  Rules trained
-    under one distribution share them."""
-    thetas = est.parameter_draws(config.training, est.SCATTER_STREAM)
-    return thetas, est.simulated_quantiles(config.training, draws, thetas[:, 0], thetas[:, 1])
+    training config under SCATTER_STREAM and the datasets simulated from
+    them on the path (SCATTER_STREAM, 2).  Rules trained under one
+    distribution share them, and every distribution reads the same order
+    statistics."""
+    train = config.training
+    thetas = est.parameter_draws(train, est.SCATTER_STREAM)
+    path = (est.SCATTER_STREAM, 2)
+    return thetas, est.simulated_quantiles(train, path, thetas[:, 0], thetas[:, 1])
 
 
 def evaluation_quantiles(config: ExperimentConfig) -> np.ndarray:
     """Compressed vectors of the evaluation datasets, shaped (points,
     mc_runs, n_quantiles): the runs at point p simulated from that point's
-    parameters with the draws of evaluation_draws.  They do not depend on
-    the model, so any number of rules can be scored on one set.  Every
-    point is simulated in one pass over the stacked runs."""
-    draws = evaluation_draws(config)
-    params = np.repeat(config.eval_points, config.mc_runs, axis=0)
-    alphas = est.simulated_quantiles(
-        config.training, draws.reshape(-1, draws.shape[-1]), params[:, 0], params[:, 1]
-    )
-    return alphas.reshape(*draws.shape[:2], -1)
+    parameters on the path (EVAL_STREAM, p) under the training seed,
+    disjoint from the training streams.  They depend on neither the model
+    nor the parameter distribution, so any number of rules can be scored on
+    one set.  One point's draws are held at a time."""
+    train = config.training
+    out = np.empty((len(config.eval_points), config.mc_runs, train.n_quantiles))
+    for p, point in enumerate(config.eval_points):
+        scales, shapes = (np.full(config.mc_runs, value) for value in point)
+        out[p] = est.simulated_quantiles(train, (est.EVAL_STREAM, p), scales, shapes)
+    return out
 
 
 def run_mse_experiment(
@@ -189,12 +173,13 @@ def reproduce_table(config: ExperimentConfig) -> tuple[RiskReport, RiskReport, R
     reciprocal prior plus the minimax fit under the uniform proposal, each
     evaluated at every configured point.
 
-    Each rule is fitted, evaluated and scattered exactly as on its own; the
-    streams do not depend on the prior, so all three read the same simulated
-    datasets, which are made once per call.  Bayes/uniform and minimax fit
-    one training set together and share their scatter datasets.  Emits the
-    combined table (and per-method models/scatter files) into output_dir
-    according to config.emit.
+    Each rule is fitted, evaluated and scattered exactly as on its own.
+    The evaluation datasets do not depend on the prior, so one set, made
+    once per call, scores all three rules.  The scatter datasets are made
+    once per prior, all from one path's order statistics: Bayes/uniform and
+    minimax fit one training set together and share their scatter
+    datasets.  Emits the combined table (and per-method models/scatter
+    files) into output_dir according to config.emit.
     """
     base = config.training
     out = config.output_dir
@@ -221,9 +206,8 @@ def reproduce_table(config: ExperimentConfig) -> tuple[RiskReport, RiskReport, R
     quantiles = evaluation_quantiles(config)
     scatter = {}
     if "scatter" in config.emit:
-        draws = scatter_draws(config)
         for training in (uniform, reciprocal):
-            scatter[training] = scatter_datasets(replace(config, training=training), draws)
+            scatter[training] = scatter_datasets(replace(config, training=training))
     reports = []
     for label, model, training in rules:
         sub_config = replace(config, training=training)
@@ -247,13 +231,13 @@ def emit_scatter(
     """Simulate fresh parameter draws, estimate them, and write the scatter
     rows (true_eta, true_gamma, est_eta, est_gamma) behind the method's
     true-vs-estimated plots.  ``datasets`` are the true parameters and
-    compressed vectors, scatter_datasets of the config, made here unless a
-    caller that scatters several rules passes them.  The file is replaced
-    atomically; returns its path."""
+    compressed vectors, scatter_datasets(config), made here unless a caller
+    that scatters several rules under one distribution passes them.  The
+    file is replaced atomically; returns its path."""
     if model.n_quantiles != config.training.n_quantiles:
         raise ValueError("model/config n_quantiles mismatch")
     if datasets is None:
-        datasets = scatter_datasets(config, scatter_draws(config))
+        datasets = scatter_datasets(config)
     thetas, alphas = datasets
     rows = np.column_stack((thetas, est.estimate_from_quantiles(model, alphas)))
     config.output_dir.mkdir(parents=True, exist_ok=True)

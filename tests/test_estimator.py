@@ -41,15 +41,13 @@ from twostage.estimator import (
     THETA_STREAM,
     TRAIN_DATA_STREAM,
     build_feature_matrix,
-    dataset_draws,
     estimate_from_quantiles,
     fit_methods,
     simulated_quantiles,
-    training_draws,
 )
-from twostage.experiment import ExperimentConfig, evaluation_draws, scatter_draws
+from twostage.experiment import ExperimentConfig, evaluation_quantiles, scatter_datasets
 from twostage.rng import stream
-from twostage.weibull import sample_uniform_order_statistics
+from twostage.weibull import sample_uniform_order_statistics, weibull_quantile_rows
 
 from oracles import weibull_quantile
 
@@ -133,10 +131,11 @@ class TestGenerateTrainingSet:
         points = ((2.0, 2.0), (8.0, 8.0))
         short = ExperimentConfig(training=cfg, eval_points=points, mc_runs=3)
         long = ExperimentConfig(training=big, eval_points=points, mc_runs=3 + extra)
-        np.testing.assert_array_equal(evaluation_draws(long)[:, :3], evaluation_draws(short))
         np.testing.assert_array_equal(
-            scatter_draws(long)[: cfg.m_theta], scatter_draws(short)
+            evaluation_quantiles(long)[:, :3], evaluation_quantiles(short)
         )
+        for long_part, short_part in zip(scatter_datasets(long), scatter_datasets(short)):
+            np.testing.assert_array_equal(long_part[: cfg.m_theta], short_part)
 
     def test_rows_equal_per_dataset_compression(self):
         # replicate j of parameter draw i is row i of replicate j's
@@ -174,13 +173,29 @@ class TestGenerateTrainingSet:
     def test_cost_does_not_grow_with_n_obs(self):
         # drawing and sorting 10**12 observations would take 8 TB per dataset
         cfg = TrainingConfig(m_theta=4, n_obs=10**12, n_quantiles=10, seed=SeedSpec(20))
-        draws = training_draws(cfg)
+        assert generate_training_set(cfg).alphas.shape == (4, 10)
         ranks = quantile_plan(cfg.n_obs, cfg.n_quantiles).ranks
+        draws = sample_uniform_order_statistics(
+            stream(cfg.seed, TRAIN_DATA_STREAM, 0), cfg.n_obs, ranks, 4
+        )
         assert draws.shape == (4, 19)
         # the k-th smallest of N uniforms has mean k/(N+1) and, here, a
         # relative standard deviation below 4e-6
         expected = np.tile((ranks + 1) / (cfg.n_obs + 1), (4, 1))
         np.testing.assert_allclose(draws, expected, rtol=1e-4)
+
+    def test_parameter_vectors_on_one_path_read_the_same_draws(self):
+        # one path's order statistics, whatever the parameters mapped
+        # through them
+        cfg = TrainingConfig(n_obs=300, n_quantiles=5, seed=SeedSpec(21))
+        plan = quantile_plan(cfg.n_obs, cfg.n_quantiles)
+        u = sample_uniform_order_statistics(stream(cfg.seed, 9, 1), cfg.n_obs, plan.ranks, 6)
+        vectors = np.random.default_rng(21).uniform(1.0, 20.0, (2, 2, 6))
+        for scales, shapes in vectors:
+            alphas = simulated_quantiles(cfg, (9, 1), scales, shapes)
+            np.testing.assert_array_equal(
+                alphas, plan.quantiles(weibull_quantile_rows(u, scales, shapes))
+            )
 
     def test_replicates_share_parent(self):
         cfg = TrainingConfig(m_theta=3, m_y=2, n_obs=60, n_quantiles=3, seed=SeedSpec(15))
@@ -349,7 +364,7 @@ def protocol_rows(n: int, rows: int, seed: int = 5) -> np.ndarray:
     from the protocol's range [1, 20]."""
     config = TrainingConfig(n_quantiles=n, seed=SeedSpec(seed))
     params = np.random.default_rng(seed).uniform(1.0, 20.0, (2, rows))
-    return simulated_quantiles(config, dataset_draws(config, (9, 0), rows), *params)
+    return simulated_quantiles(config, (9, 0), *params)
 
 
 def random_model(n: int, seed: int) -> TSModel:

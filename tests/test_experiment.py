@@ -3,6 +3,7 @@
 import errno
 import json
 import re
+import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -27,7 +28,7 @@ from twostage import estimator as est
 from twostage import experiment as exp
 from twostage.compression import quantile_plan
 from twostage.rng import stream
-from twostage.weibull import sample_uniform_order_statistics
+from twostage.weibull import sample_uniform_order_statistics, weibull_quantile_rows
 
 from oracles import run_errors, weibull_quantile
 
@@ -220,11 +221,12 @@ class TestRunMseExperiment:
         points = ((2.0, 2.0), (4.0, 8.0), (8.0, 2.0))
         config = tiny_config(mc_runs=runs, eval_points=points)
         model = fit_bayes(TINY_TRAIN)
-        draws, ones = exp.evaluation_draws(config), np.ones(runs)
+        ones = np.ones(runs)
         quantiles = exp.evaluation_quantiles(config)
         report = run_mse_experiment(config, model)
         for p, ((eta, gam), row) in enumerate(zip(points, report.rows)):
-            alphas = est.simulated_quantiles(TINY_TRAIN, draws[p], eta * ones, gam * ones)
+            path = (est.EVAL_STREAM, p)
+            alphas = est.simulated_quantiles(TINY_TRAIN, path, eta * ones, gam * ones)
             np.testing.assert_array_equal(quantiles[p], alphas)
             errors = est.estimate_from_quantiles(model, alphas) - (eta, gam)
             mse = np.mean(errors * errors, axis=0)
@@ -251,12 +253,26 @@ class TestRunMseExperiment:
             assert diff <= 4 * se
 
 
-def test_simulated_quantiles_rejects_draws_a_column_short():
-    draws = est.training_draws(TINY_TRAIN)
-    ones = np.ones(len(draws))
-    est.simulated_quantiles(TINY_TRAIN, draws, ones, ones)
-    with pytest.raises(ValueError, match="draws"):
-        est.simulated_quantiles(TINY_TRAIN, draws[:, :-1], ones, ones)
+def test_simulated_quantiles_rejects_a_shape_vector_one_row_short():
+    ones = np.ones(TINY_TRAIN.m_theta)
+    est.simulated_quantiles(TINY_TRAIN, (est.TRAIN_DATA_STREAM, 0), ones, ones)
+    with pytest.raises(ValueError, match="one scale and one shape per row"):
+        est.simulated_quantiles(TINY_TRAIN, (est.TRAIN_DATA_STREAM, 0), ones, ones[:-1])
+
+
+def test_evaluation_set_holds_one_points_draws_at_a_time():
+    # the protocol's datasets at 20,000 runs a point: the order statistics
+    # and their intermediates of every point at once would take several
+    # times the quantiles' own bytes
+    config = ExperimentConfig(mc_runs=20_000, emit=frozenset())
+    exp.evaluation_quantiles(config)
+    tracemalloc.start()
+    try:
+        quantiles = exp.evaluation_quantiles(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * quantiles.nbytes
 
 
 class TestScatter:
@@ -278,6 +294,25 @@ class TestScatter:
         )
         with pytest.raises(ValueError):
             emit_scatter(model, other)
+
+    def test_priors_share_one_scatter_path(self):
+        # each prior draws its own parameters, simulated on one path's
+        # order statistics
+        plan = quantile_plan(TINY_TRAIN.n_obs, TINY_TRAIN.n_quantiles)
+        u = sample_uniform_order_statistics(
+            stream(TINY_TRAIN.seed, est.SCATTER_STREAM, 2),
+            TINY_TRAIN.n_obs,
+            plan.ranks,
+            TINY_TRAIN.m_theta,
+        )
+        thetas = []
+        for kind in (PriorKind.UNIFORM, PriorKind.RECIPROCAL):
+            training = replace(TINY_TRAIN, theta_distribution=PriorSpec(kind, 1.0, 20.0))
+            theta, alphas = exp.scatter_datasets(tiny_config(training=training))
+            expected = plan.quantiles(weibull_quantile_rows(u, theta[:, 0], theta[:, 1]))
+            np.testing.assert_array_equal(alphas, expected)
+            thetas.append(theta)
+        assert not np.array_equal(*thetas)
 
     def test_parse_back_lossless(self, tmp_path):
         model = fit_bayes(TINY_TRAIN)
