@@ -29,14 +29,46 @@ a convex combination of the rows never exceeds their max.  On nearly
 collinear columns that solve can put L(u) above the best objective found;
 such a value is no bound and is discarded, and 0, which bounds any max of
 squares, stays.
+
+Both fitters run with OpenBLAS on one thread while M (m+1)^2, the size of
+the interior point's per-iteration product, is below
+_ONE_BLAS_THREAD_BELOW.  There a second thread saves no wall time, and one
+thread makes the fitted bits independent of the thread count; larger fits
+keep the process's threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
+
+# M (m+1)^2 at and above which a fit keeps the process's OpenBLAS threads.
+# Ridge + minimax fit wall time at 1 / 2 threads, best of 6-10 runs on a
+# 2-CPU x86-64 host (OpenBLAS 0.3.31, protocol training sets of seed 1):
+#   scale map (19 columns):  5.6 / 5.7 ms at M = 1,000; 89 / 96 ms at 16,000
+#   shape map (165 columns): 41 / 42 ms at 1,000; 72 / 71 ms at 2,000;
+#                            146 / 125 ms at 4,000; 759 / 600 ms at 16,000
+# so the shape fits from M = 4,000 (1.1e8) on keep their second thread
+_ONE_BLAS_THREAD_BELOW = 1e8
+
+
+def _one_blas_thread_when_small(fit):
+    """Run ``fit(problem, ...)`` with OpenBLAS on one thread while the
+    problem's M (m+1)^2 is below _ONE_BLAS_THREAD_BELOW."""
+
+    @wraps(fit)
+    def scoped(problem, *args, **kwargs):
+        M, m = problem.features.shape
+        if M * (m + 1) ** 2 >= _ONE_BLAS_THREAD_BELOW:
+            return fit(problem, *args, **kwargs)
+        from . import _blas  # at the first fit, so that importing costs nothing
+
+        with _blas.one_thread():
+            return fit(problem, *args, **kwargs)
+
+    return scoped
 
 
 class SolverError(RuntimeError):
@@ -166,6 +198,7 @@ class _RidgeFactor:
     inverse: np.ndarray  # L^-1: numpy has no triangular solve
 
 
+@_one_blas_thread_when_small
 def _solve_ridge(problem: RegressionProblem):
     """fit_ridge's coefficients and the _RidgeFactor it solved with, None
     where the system went to lstsq."""
@@ -368,6 +401,7 @@ def _max_step(v, dv):
     return min(1.0, -float(np.max(ratio)))
 
 
+@_one_blas_thread_when_small
 def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> Coefficients:
     """Minimize the worst-row quadratic loss max_i (t_i - phi_i.beta)^2 plus
     the uniform ridge term.

@@ -1,12 +1,18 @@
 """Ridge and minimax second-stage fitters."""
 
+import ctypes
 import json
+import os
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from twostage import _blas, solvers
 from twostage.compression import FeatureKind
 from twostage.estimator import TrainingConfig, build_feature_matrix, generate_training_set
 from twostage.priors import PriorSpec
@@ -202,8 +208,9 @@ class TestFitRidge:
             result = run_python("-c", code, OPENBLAS_NUM_THREADS=threads)
             assert result.returncode == 0, result.stderr
             fits.append([np.array(beta) for beta in json.loads(result.stdout)])
+        # the protocol's fits run at one thread in either process
         for one, two in zip(*fits):
-            assert np.linalg.norm(one - two) <= 1e-8 * np.linalg.norm(one)
+            assert np.array_equal(one, two)
 
     def test_overflowing_column_norm_raises_without_warning(self):
         # finite features whose normal matrix is not: before, a clamped
@@ -517,10 +524,12 @@ class TestFitMinimax:
         assert fit.trace["exchange_steps"] == 0
 
     def test_first_iterate_at_rounding_level_stays_a_candidate(self):
-        # nearly collinear columns at ridge 0 (condition 4e7): steps past the
-        # first iterate at rounding level still shrink s'z, but L(u) at the
-        # last multipliers is 1e3 tolerances short; the first one's closes
-        problem = nearly_collinear_problem(np.random.default_rng(4390))
+        # nearly collinear columns at ridge 0 (11 rows, 7 columns, condition
+        # 1.9e7): steps past the first iterate at rounding level still shrink
+        # s'z, but L(u) at the last multipliers leaves the gap 1.7-4.8
+        # tolerances open; the first one's closes it.  Holds on OpenBLAS's
+        # default, Haswell, SkylakeX, Zen and Sandybridge kernels
+        problem = nearly_collinear_problem(np.random.default_rng(7506))
         fit = fit_minimax(problem)
         assert fit.trace["closed_by"] == "interior point"
         assert fit.trace["ipm_gaps"][-1] <= 1e-8 * fit.objective
@@ -679,3 +688,154 @@ class TestWorkingSetKKT:
         K, rhs = kkt_system(problem, rows, sides)
         # componentwise backward error at rounding level, row by row
         assert componentwise_backward_error(K, rhs, self.solution(problem, rows, sides)) <= 1e-15
+
+
+# the thread-count symbols of scipy-openblas's 64-bit and 32-bit integer
+# builds and of plain OpenBLAS
+OPENBLAS_THREAD_SYMBOLS = ["scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                           "openblas_{}_num_threads"]
+
+
+def mapped_openblas():
+    """Path -> (get, set) thread-count functions of each OpenBLAS library
+    mapped into the process, found apart from _blas, so that a library it
+    misses shows."""
+    with open("/proc/self/maps") as maps:
+        paths = sorted({line.split()[-1] for line in maps if "openblas" in line.split()[-1]})
+    libs = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        name = next(n for n in OPENBLAS_THREAD_SYMBOLS if hasattr(lib, n.format("get")))
+        libs[path] = (getattr(lib, name.format("get")), getattr(lib, name.format("set")))
+    return libs
+
+
+def thread_counts(libs):
+    return {path: get() for path, (get, _) in libs.items()}
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every mapped OpenBLAS library at two threads for the test, so that a
+    count left at one shows; scipy's library is mapped beside numpy's."""
+    pytest.importorskip("scipy.linalg")
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps to find OpenBLAS in")
+    libs = mapped_openblas()
+    if not libs:
+        pytest.skip("numpy and scipy link no OpenBLAS")
+    _blas.libraries.cache_clear()  # found afresh, with scipy's library mapped
+    before = thread_counts(libs)
+    for _, set_ in libs.values():
+        set_(2)
+    yield libs
+    for path, (_, set_) in libs.items():
+        set_(before[path])
+
+
+def counts_inside_fits(monkeypatch, libs):
+    """A list that each Cholesky factorization of a fit appends the thread
+    counts to."""
+    seen, cholesky = [], np.linalg.cholesky
+
+    def recording(a):
+        seen.append(thread_counts(libs))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    return seen
+
+
+def mid_size_problem(seed):
+    """300 rows of 40 columns: products above OpenBLAS's threading size, so
+    that two threads add in another order than one."""
+    rng = np.random.default_rng(seed)
+    return RegressionProblem(rng.normal(size=(300, 40)), rng.normal(size=300), 1e-4)
+
+
+class TestOneBlasThread:
+    def test_small_fits_run_on_one_thread_in_every_library(self, two_blas_threads, monkeypatch):
+        # numpy's and scipy's libraries both; fit_minimax solves the ridge
+        # warm start inside its own scope, so the scope nests
+        seen = counts_inside_fits(monkeypatch, two_blas_threads)
+        assert len(_blas.libraries()) == len(two_blas_threads)
+        fit_ridge(mid_size_problem(1))
+        fit_minimax(mid_size_problem(2))
+        assert len(seen) > 2
+        assert all(set(counts.values()) == {1} for counts in seen)
+        assert set(thread_counts(two_blas_threads).values()) == {2}
+        assert _blas._depth == 0
+
+    @pytest.mark.parametrize("outcome", ["certified", "budget error", "LAPACK error"])
+    def test_counts_restored_after_a_fit(self, two_blas_threads, monkeypatch, outcome):
+        before = thread_counts(two_blas_threads)
+        problem = mid_size_problem(3)
+        if outcome == "certified":
+            fit_minimax(problem)
+        elif outcome == "budget error":
+            with pytest.raises(SolverBudgetError):
+                fit_minimax(problem, 1e-300)
+        else:
+            def not_positive_definite(*args, **kwargs):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+            monkeypatch.setattr(solvers, "_ipm_epigraph", not_positive_definite)
+            with pytest.raises(np.linalg.LinAlgError):
+                fit_minimax(problem)
+        assert thread_counts(two_blas_threads) == before
+        assert _blas._depth == 0
+
+    def test_counts_restored_after_fits_in_concurrent_threads(self, two_blas_threads):
+        # the scopes of four Python threads overlap, switching often: the
+        # last to leave restores, and every fit runs on one BLAS thread
+        n_threads, seeds = 4, range(10, 22)
+        serial = {seed: fit_minimax(mid_size_problem(seed)).beta for seed in seeds}
+        barrier = threading.Barrier(n_threads)
+
+        def fit_share(k):
+            barrier.wait()
+            return {seed: fit_minimax(mid_size_problem(seed)).beta for seed in seeds[k::n_threads]}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(n_threads) as pool:
+                shares = list(pool.map(fit_share, range(n_threads), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        fits = {seed: beta for share in shares for seed, beta in share.items()}
+        assert fits.keys() == serial.keys()
+        assert all(np.array_equal(fits[seed], serial[seed]) for seed in seeds)
+        assert set(thread_counts(two_blas_threads).values()) == {2}
+        assert _blas._depth == 0
+
+    @pytest.mark.parametrize("above, expected", [(0, 2), (1, 1)])
+    def test_fits_at_the_bound_keep_their_threads(self, two_blas_threads, monkeypatch, above, expected):
+        # M (m+1)^2 = 300 * 41^2 at the bound keeps two threads, below it one
+        monkeypatch.setattr(solvers, "_ONE_BLAS_THREAD_BELOW", 300 * 41**2 + above)
+        seen = counts_inside_fits(monkeypatch, two_blas_threads)
+        fit_minimax(mid_size_problem(4))
+        assert seen and all(set(counts.values()) == {expected} for counts in seen)
+
+    def test_fit_without_a_library_found_runs_unchanged(self, two_blas_threads, monkeypatch):
+        small = RegressionProblem(np.random.default_rng(5).normal(size=(50, 3)), np.arange(50.0), 1e-4)
+        reference = fit_minimax(small)
+        monkeypatch.setattr(_blas, "libraries", lambda: ())
+        seen = counts_inside_fits(monkeypatch, two_blas_threads)
+        fit = fit_minimax(RegressionProblem(small.features, small.targets, small.ridge))
+        assert np.array_equal(fit.beta, reference.beta) and fit.certificate == reference.certificate
+        assert seen and all(set(counts.values()) == {2} for counts in seen)
+
+
+def test_quick_fit_writes_the_same_model_at_one_and_two_blas_threads(tmp_path):
+    # the reproduction script's --quick training set: the warm-start ridge
+    # and minimax fits both run at one thread in either process
+    models = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"model_{threads}.txt"
+        result = run_python("-m", "twostage.cli", "fit", "--method", "minimax", "--m-theta", "100",
+                            "--n-obs", "1000", "--n-quantiles", "10", "--out", str(out),
+                            OPENBLAS_NUM_THREADS=threads)
+        assert result.returncode == 0, result.stderr
+        models.append(out.read_bytes())
+    assert models[0] == models[1]
