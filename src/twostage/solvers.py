@@ -8,11 +8,14 @@ from the features' own residual t - Phi beta; the minimax program
     min_beta  max_i (t_i - phi_i . beta)^2  +  ridge * ||beta||^2
 
 is solved by a primal-dual interior-point iteration on its epigraph form,
-run in the coordinates that the ridge fit's Cholesky factor whitens: there
-the ridge normal matrix Phi'Phi/M + ridge I is the identity, so the
-iteration needs no diagonal shift on the paper's ill-conditioned shape map.
-It stops once its duality measure is a hundredth of the tolerance it must
-certify.  The reported certificate is a rigorous global suboptimality
+run in the coordinates that the ridge fit whitens: there the ridge normal
+matrix Phi'Phi/M + ridge I is the identity, so the iteration's Newton
+systems stay well conditioned on the paper's ill-conditioned shape map.
+The whitening comes from the ridge fit's Cholesky factor, or, where the
+normal matrix is singular to working precision, from a truncated SVD of
+the scaled rows, which drops the directions it cannot resolve.  The
+iteration stops once its duality measure is a hundredth of the tolerance
+it must certify.  The reported certificate is a rigorous global suboptimality
 bound in the original coordinates: the best objective found minus a
 Lagrange dual value, which any multipliers z >= 0 give (weak duality).  At
 ridge > 0 the dual of the epigraph program has a closed form, evaluated at
@@ -83,7 +86,8 @@ class SolverBudgetError(SolverError):
     """No bound that fit_minimax ran closed the certified gap to tolerance.
 
     The interior point runs once, until its duality measure is a hundredth
-    of the tolerance or it can make no more progress, and is certified by
+    of the tolerance or it can make no more progress (its steps fall below
+    a floor, or its Newton system is exactly singular), and is certified by
     its own dual; with ridge > 0 only, the active-set exchange then runs
     until a clean KKT point or its exchange budget.  The message names the
     phases that ran.  At ridge 0 only the interior point runs, so no
@@ -135,10 +139,10 @@ class Coefficients:
     guaranteed suboptimality gap (0 for exact solves).
 
     ``trace`` is what fit_minimax did, as plain data: ``gaps`` maps each
-    phase that ran, in order, to the gap after it; ``closed_by`` names the
-    phase that met the tolerance (None if none did); ``ipm_gaps`` lists the
-    interior point's duality measure s'z after each of its iterations; and
-    it counts ``ipm_iterations``, ``cholesky_retries`` and
+    phase that ran, in order, to the gap after it; ``tolerance`` is the gap
+    it had to reach, and ``closed_by`` names the phase that reached it (None
+    if none did); ``ipm_gaps`` lists the interior point's duality measure
+    s'z after each of its iterations; and it counts ``ipm_iterations`` and
     ``exchange_steps``.  Not compared, and not saved with a model.
     """
 
@@ -179,56 +183,70 @@ def fit_ridge(problem: RegressionProblem) -> Coefficients:
     factored by Cholesky once, and three corrections, each solved from the
     residual of the least-squares problem itself (t - Phi beta, not that of
     the normal equations), refine the solution to the accuracy of a
-    least-squares solve.  At ridge > 0 a system that is singular to working
-    precision is solved by lstsq on the stacked [Phi; sqrt(M ridge) I];
-    at ridge = 0 it raises RankDeficiencyError.  A problem is solved once:
+    least-squares solve.  A system that is singular to working precision is
+    solved by lstsq on the stacked [Phi; sqrt(M ridge) I] at ridge > 0; at
+    ridge = 0 it raises RankDeficiencyError.  A problem is solved once:
     fit_ridge and the warm start of fit_minimax share the solution and its
-    factor.
+    whitening.
     """
-    return problem._ridge[0]
+    coeff, factor = problem._ridge
+    if factor.singular and problem.ridge == 0.0:
+        M, m = problem.features.shape
+        count = f" ({M} rows < {m} features)" if M < m else ""
+        raise RankDeficiencyError(f"normal matrix is singular{count}; set ridge > 0")
+    return coeff
 
 
 @dataclass(frozen=True)
 class _RidgeFactor:
-    """L L' = Phi_s'Phi_s + diag(M ridge / col^2), the column-scaled ridge
-    normal matrix with Phi_s = Phi / col, col the columns' 2-norms."""
+    """The whitening beta = T gamma of the ridge normal matrix
+    N = Phi'Phi/M + ridge I, for which T'NT is the identity, and the
+    coordinates gamma of the ridge solution.
 
-    col: np.ndarray
-    lower: np.ndarray
-    inverse: np.ndarray  # L^-1: numpy has no triangular solve
+    With col the columns' 2-norms over sqrt(M), T = diag(1/col) L^-T, L L'
+    the Cholesky factor of the column-scaled N, and gamma = L' diag(col)
+    beta.  Where that matrix is singular to working precision
+    (``singular``), T = diag(1/col) V_r S_r^-1 from the SVD U S V' of the
+    stacked scaled rows [Phi_s; diag(root)], cut at lstsq's rank tolerance,
+    and gamma = S_r V_r' diag(col) beta: r <= m coordinates, in which the
+    directions that the SVD cannot resolve are dropped.
+    """
+
+    whitening: np.ndarray  # T, (m, r)
+    start: np.ndarray  # gamma of the ridge solution, (r,)
+    singular: bool
 
 
 @_one_blas_thread_when_small
 def _solve_ridge(problem: RegressionProblem):
-    """fit_ridge's coefficients and the _RidgeFactor it solved with, None
-    where the system went to lstsq."""
+    """fit_ridge's coefficients and the _RidgeFactor of the system they
+    solve, whether or not Cholesky factored it."""
     phi, t, lam = problem.features, problem.targets, problem.ridge
     M, m = phi.shape
     # Phi'Phi overflows exactly when a squared column norm does; tested
-    # before the rank, so that no lstsq fallback meets such columns (LAPACK
-    # prints its own error text for them to stderr)
+    # before the rank, so that no lstsq meets such columns (LAPACK prints
+    # its own error text for them to stderr)
     with np.errstate(over="ignore"):
         col = np.linalg.norm(phi, axis=0)
     if not np.all(np.isfinite(col)):
         raise ValueError("feature column norms must be finite")
-    if lam == 0.0 and M < m:
-        raise RankDeficiencyError(
-            f"normal matrix is singular ({M} rows < {m} features); set ridge > 0"
-        )
     col[col == 0.0] = 1.0
     phi_s = phi / col
     root = np.sqrt(M * lam) / col  # the ridge rows, scaled
     shift = root * root
     try:
+        if lam == 0.0 and M < m:  # singular, with nothing to factor
+            raise np.linalg.LinAlgError("fewer rows than columns")
         lower = np.linalg.cholesky(phi_s.T @ phi_s + np.diag(shift))
     except np.linalg.LinAlgError:
-        if lam == 0.0:
-            raise RankDeficiencyError("normal matrix is singular; set ridge > 0") from None
         stacked = np.vstack([phi_s, np.diag(root)])
         g = np.linalg.lstsq(stacked, np.concatenate([t, np.zeros(m)]), rcond=None)[0]
-        factor = None
+        _, sv, vt = np.linalg.svd(stacked, full_matrices=False)
+        # lstsq's rank: the singular values above eps max(M + m, m) times the largest
+        r = int(np.count_nonzero(sv > np.finfo(float).eps * max(stacked.shape) * sv[0]))
+        right, left, singular = vt[:r].T / sv[:r], sv[:r, None] * vt[:r], True
     else:
-        linv = np.linalg.inv(lower)
+        linv = np.linalg.inv(lower)  # numpy has no triangular solve
 
         def solve(r):
             return linv.T @ (linv @ r)
@@ -236,11 +254,12 @@ def _solve_ridge(problem: RegressionProblem):
         g = solve(phi_s.T @ t)
         for _ in range(3):
             g = g + solve(phi_s.T @ (t - phi_s @ g) - shift * g)
-        factor = _RidgeFactor(col, lower, linv)
+        right, left, singular = linv.T, lower.T, False
     beta = g / col
     beta.flags.writeable = False  # shared by every fit of the problem
     coeff = Coefficients(beta=beta, objective=mean_squared_objective(beta, problem), certificate=0.0)
-    return coeff, factor
+    col = col / np.sqrt(M)
+    return coeff, _RidgeFactor(right / col[:, None], left @ (col * beta), singular)
 
 
 def _weighted_lower_bound(u: np.ndarray, problem: RegressionProblem):
@@ -271,23 +290,25 @@ def _ipm_epigraph(phi, t, P, beta0, f_scale, tolerance, max_iter=80):
 
     x = (b, tau) with P a dense symmetric positive semidefinite matrix;
     Mehrotra predictor-corrector on the KKT system, reduced to one dense
-    (m+1) x (m+1) system per iteration.  A Cholesky factorization tests that
-    system for positive definiteness, its diagonal shifted until it factors,
-    and an LU solve gives each direction: at m = 165 two solves cost less
-    than inverting the factor.
+    (m+1) x (m+1) system per iteration, its diagonal shifted by a fixed
+    1e-12 (1 + max P_ii), and solved by LU for each direction: at m = 165
+    two solves cost less than inverting a factor.  The caller passes rows
+    whitened by the ridge fit, so that system is well conditioned until
+    the multipliers concentrate on a few rows.
 
     It stops once the residuals and the duality measure mu = s'z / 2M are
     at rounding level and s'z is at most tolerance / 100, so that the gap
-    the caller certifies is closed with room for the rounding of its bound.
-    Past the first iterate at rounding level, steps on nearly collinear
-    columns can still shrink s'z while the objective or the bound that the
-    caller evaluates gets worse, so that iterate is kept beside the last.
+    the caller certifies is closed with room for the rounding of its bound;
+    or where no step can be taken: the step lengths fall below 1e-10, or
+    the Newton system is exactly singular.  Past the first iterate at
+    rounding level, steps on nearly collinear columns can still shrink s'z
+    while the objective or the bound that the caller evaluates gets worse,
+    so that iterate is kept beside the last.
 
-    Returns (iterates, gaps, shift retries): iterates holds those one or
-    two (x, z) pairs, z >= 0 the multipliers of the 2M constraint rows,
-    r_i = t_i - phi_i.b, the block r_i <= tau (side +1) first, then
-    -r_i <= tau (side -1), as h = [-t, t] orders them; gaps holds s'z
-    after each iteration.
+    Returns (iterates, gaps): iterates holds those one or two (x, z) pairs,
+    z >= 0 the multipliers of the 2M constraint rows, r_i = t_i - phi_i.b,
+    the block r_i <= tau (side +1) first, then -r_i <= tau (side -1), as
+    h = [-t, t] orders them; gaps holds s'z after each iteration.
     """
     M, m = phi.shape
     x = np.empty(m + 1)
@@ -311,16 +332,11 @@ def _ipm_epigraph(phi, t, P, beta0, f_scale, tolerance, max_iter=80):
     mu0 = 0.1 * max(f_scale, 1e-10)
     z = np.maximum(mu0 / s, 1e-10)
 
-    # Cholesky shift: each iteration starts one step below the last shift
-    # that factored, so a system that needs a shift (P singular at ridge 0)
-    # costs one retry per iteration, not a climb from delta0
-    delta0 = 1e-12 * (1.0 + float(np.max(np.diag(P))))
-    delta_ok = delta0
-    retries, sz, gaps, iterates = 0, float(s @ z), [], []
-    # per-iteration buffers: the weighted rows, the system and its shifted copy
+    delta = 1e-12 * (1.0 + float(np.max(np.diag(P))))
+    sz, gaps, iterates = float(s @ z), [], []
+    # per-iteration buffers: the weighted rows and the Newton system
     weighted = np.empty_like(phi)
-    Hfull = np.empty((m + 1, m + 1))
-    K = np.empty_like(Hfull)
+    K = np.empty((m + 1, m + 1))
     K_diag = K.reshape(-1)[:: m + 2]  # a view of K's diagonal
     for _ in range(max_iter):
         rp = g_apply(x) + s - h
@@ -338,12 +354,13 @@ def _ipm_epigraph(phi, t, P, beta0, f_scale, tolerance, max_iter=80):
         lo, hi = w[:M], w[M:]
         row_weight = lo + hi
         np.multiply(np.sqrt(row_weight)[:, None], phi, out=weighted)
-        Hfull[:m, :m] = weighted.T @ weighted  # one symmetric rank-k update
+        K[:m, :m] = weighted.T @ weighted  # one symmetric rank-k update
         border = phi.T @ (lo - hi)
-        Hfull[:m, m] = border
-        Hfull[m, :m] = border
-        Hfull[m, m] = float(np.sum(row_weight))
-        Hfull += P
+        K[:m, m] = border
+        K[m, :m] = border
+        K[m, m] = float(np.sum(row_weight))
+        K += P
+        K_diag += delta
         # the right-hand side both directions share
         rhs0 = -(P @ x) - gt_apply(w * rp)
         sz_rows = s * z
@@ -356,29 +373,17 @@ def _ipm_epigraph(phi, t, P, beta0, f_scale, tolerance, max_iter=80):
             dz = -target / s - w * ds
             return dx, ds, dz
 
-        delta = max(delta0, delta_ok / 100.0)
-        while True:
-            np.copyto(K, Hfull)
-            K_diag += delta
-            try:
-                np.linalg.cholesky(K)  # the positive-definite test
-                # LU can still meet a zero pivot that Cholesky rounded past;
-                # once it factors, the corrector's solve repeats its pivots
-                dx_a, ds_a, dz_a = kkt_solve(rhs0, sz_rows)  # the predictor: extra = 0
-                break
-            except np.linalg.LinAlgError:
-                retries += 1
-                delta *= 100.0
-                if delta > 1e6 * (1.0 + float(np.max(np.abs(Hfull)))):
-                    raise
-        delta_ok = delta
-
+        try:
+            dx_a, ds_a, dz_a = kkt_solve(rhs0, sz_rows)  # the predictor: extra = 0
+        except np.linalg.LinAlgError:
+            break  # an exactly singular system; the certificate decides from here
         alpha_p = _max_step(s, ds_a)
         alpha_d = _max_step(z, dz_a)
         mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / (2 * M)
         sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.1
 
         extra = ds_a * dz_a - sigma * mu
+        # the corrector's solve repeats the predictor's pivots
         dx, ds, dz = kkt_solve(rhs0 + gt_apply(extra / s), sz_rows + extra)
         alpha_p = 0.99 * _max_step(s, ds)
         alpha_d = 0.99 * _max_step(z, dz)
@@ -391,7 +396,7 @@ def _ipm_epigraph(phi, t, P, beta0, f_scale, tolerance, max_iter=80):
         gaps.append(sz)
     if not iterates or iterates[0][0] is not x:
         iterates.append((x, z))  # the last, where it is not the first
-    return iterates, gaps, retries
+    return iterates, gaps
 
 
 def _max_step(v, dv):
@@ -407,50 +412,39 @@ def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> C
     the uniform ridge term.
 
     ``tolerance`` bounds the certified suboptimality gap; None means 1e-6
-    relative to the objective at the warm start (the ridge solution, or the
-    least-squares solution when ridge = 0 leaves the normal matrix
-    singular), which also seeds the interior point and stays a candidate
-    iterate.  The interior point runs in gamma = L' diag(col) beta, with
-    L L' the Cholesky factor of the column-scaled ridge normal matrix that
-    the warm start solved with, or in the scaled beta alone where that
-    solve had no factor, and stops once its duality measure is below
-    tolerance / 100.  Each iterate it returns is read back as beta and
-    certified by its own multipliers: the closed-form epigraph dual at
-    ridge > 0, L(u) at ridge 0, where an L(u) that exceeds the best
-    objective reached by more than 8 machine epsilons relative is discarded;
-    the bound 0 always stands.  With ridge > 0 and the gap still open, an
-    active-set exchange on the equality KKT system tightens both sides.  If
-    the gap stays above tolerance, raises SolverBudgetError carrying the
-    best iterate.
+    relative to the objective at the warm start (the ridge solution, or
+    lstsq's where the ridge normal matrix is singular), which also seeds
+    the interior point and stays a candidate iterate.  The interior point
+    runs in gamma, beta = T gamma with T the ridge fit's whitening (see
+    _RidgeFactor): r <= m coordinates in which Phi'Phi/M + ridge I is the
+    identity.  It stops once its duality measure is below tolerance / 100.
+    Each iterate it returns is read back as beta and certified by its own
+    multipliers: the closed-form epigraph dual at ridge > 0, L(u) at ridge
+    0, where an L(u) that exceeds the best objective reached by more than 8
+    machine epsilons relative is discarded; the bound 0 always stands.
+    With ridge > 0 and the gap still open, an active-set exchange on the
+    equality KKT system tightens both sides.  If the gap stays above
+    tolerance, raises SolverBudgetError carrying the best iterate.
     """
     if tolerance is not None and not tolerance > 0:
         raise ValueError("tolerance must be positive")
     phi, t, lam = problem.features, problem.targets, problem.ridge
-    M, m = phi.shape
+    M = phi.shape[0]
 
-    try:
-        ridge_fit, factor = problem._ridge
-        beta_warm = ridge_fit.beta
-    except RankDeficiencyError:
-        beta_warm, factor = np.linalg.lstsq(phi, t, rcond=None)[0], None
+    ridge_fit, factor = problem._ridge
+    beta_warm = ridge_fit.beta
     f_warm, _ = evaluate_max_quadratic(beta_warm, problem)
     if tolerance is None:
         tolerance = max(1e-6 * f_warm, 1e-15)
 
-    # the epigraph QP in coordinates beta = T gamma, T = diag(1/col) L^-T,
-    # in which Phi'Phi/M + ridge I, the ridge normal matrix, is the identity
-    if factor is not None:
-        col, lower, linv = factor.col / np.sqrt(M), factor.lower, factor.inverse
-    else:  # only the columns equilibrated
-        col = np.linalg.norm(phi, axis=0) / np.sqrt(M)
-        col[col == 0.0] = 1.0
-        lower = linv = np.eye(m)
-    T = linv.T / col[:, None]
-    P = np.zeros((m + 1, m + 1))
-    P[:m, :m] = 2.0 * lam * (T.T @ T)
-    P[m, m] = 2.0
-    iterates, ipm_gaps, retries = _ipm_epigraph(
-        phi @ T, t, P, lower.T @ (col * beta_warm), max(f_warm, 1e-10), tolerance
+    # the epigraph QP in the whitened coordinates
+    T = factor.whitening
+    r = T.shape[1]
+    P = np.zeros((r + 1, r + 1))
+    P[:r, :r] = 2.0 * lam * (T.T @ T)
+    P[r, r] = 2.0
+    iterates, ipm_gaps = _ipm_epigraph(
+        phi @ T, t, P, factor.start, max(f_warm, 1e-10), tolerance
     )
 
     # the interior point's multipliers certify its iterates; the constraint
@@ -458,7 +452,7 @@ def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> C
     best_beta, best_f, bounds = beta_warm, f_warm, []
     rows, sides = np.tile(np.arange(M), 2), np.repeat([1.0, -1.0], M)
     for x, z in iterates:
-        beta_ipm = T @ x[:m]
+        beta_ipm = T @ x[:r]
         f_ipm, _ = evaluate_max_quadratic(beta_ipm, problem)
         if f_ipm < best_f:
             best_beta, best_f = beta_ipm, f_ipm
@@ -482,8 +476,8 @@ def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> C
     best_lb = max([0.0, *bounds])
 
     gaps = {"interior point": best_f - best_lb}
-    trace = dict(gaps=gaps, ipm_iterations=len(ipm_gaps), ipm_gaps=ipm_gaps,
-                 cholesky_retries=retries, exchange_steps=0)
+    trace = dict(gaps=gaps, tolerance=tolerance, ipm_iterations=len(ipm_gaps), ipm_gaps=ipm_gaps,
+                 exchange_steps=0)
     if lam > 0.0 and best_f - best_lb > tolerance:
         best_beta, best_f, best_lb, trace["exchange_steps"] = _active_set_refine(
             problem, best_beta, best_f, best_lb, tolerance
@@ -615,7 +609,10 @@ def _solve_working_set(problem: RegressionProblem, rows, sides):
     Equations [stationarity (m), tau, rows (k)] by variables [beta (m), tau,
     z (k)], active row j multiplied by its side s_j.  Solves from zero with
     the inverse of the matrix, refining with an extended-precision residual
-    while each correction at least halves.
+    while each correction at least halves.  Some LAPACK kernels invert a
+    singular system without meeting a zero pivot; the refined solution then
+    leaves a componentwise backward error near 1, where a regular system's
+    is at rounding level, and such a solution is None too.
     """
     phi, t = problem.features, problem.targets
     m = phi.shape[1]
@@ -628,8 +625,8 @@ def _solve_working_set(problem: RegressionProblem, rows, sides):
         kinv = np.linalg.inv(K)
     except np.linalg.LinAlgError:
         return None  # exact singularity: a degenerate working set
-    res = np.append(np.zeros(head), sides * t[rows])
-    g, rhs = g.astype(np.longdouble), res[head:].astype(np.longdouble)
+    res = rhs = np.append(np.zeros(head), sides * t[rows])
+    g, b = g.astype(np.longdouble), rhs[head:].astype(np.longdouble)
     x, step = np.zeros(len(K), dtype=np.longdouble), np.inf
     while True:
         dx = kinv @ res
@@ -638,10 +635,13 @@ def _solve_working_set(problem: RegressionProblem, rows, sides):
             break
         x += dx
         step = size
-        # rhs - K x by blocks
-        res = np.concatenate([np.dot(x[head:], g) - h * x[:head], rhs - np.dot(g, x[:head])])
+        # b - K x by blocks
+        res = np.concatenate([np.dot(x[head:], g) - h * x[:head], b - np.dot(g, x[:head])])
         res = res.astype(float)
     x = x.astype(float)
     if not np.all(np.isfinite(x)):
         return None
+    with np.errstate(over="ignore"):  # |K| |x| + |rhs| scales each equation's residual
+        if np.any(np.abs(res) > 1e-10 * (np.abs(K) @ np.abs(x) + np.abs(rhs))):
+            return None
     return x[:m], float(x[m]), x[head:]
