@@ -37,7 +37,6 @@ from .priors import PriorKind, PriorSpec
 from .rng import SeedSpec
 from .solvers import (
     Coefficients,
-    RankDeficiencyError,
     RegressionProblem,
     SolverBudgetError,
     SolverError,
@@ -73,7 +72,6 @@ __all__ = [
     "PriorSpec",
     "SeedSpec",
     "Coefficients",
-    "RankDeficiencyError",
     "RegressionProblem",
     "SolverBudgetError",
     "SolverError",

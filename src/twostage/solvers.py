@@ -3,7 +3,9 @@
 
 Both fitters return an optimality certificate.  Ridge is solved exactly
 (certificate 0), by Cholesky on the column-scaled normal matrix refined
-from the features' own residual t - Phi beta; the minimax program
+from the features' own residual t - Phi beta, or by lstsq where that
+matrix is singular to working precision, which at ridge 0 gives the
+minimum-norm least-squares solution; the minimax program
 
     min_beta  max_i (t_i - phi_i . beta)^2  +  ridge * ||beta||^2
 
@@ -76,10 +78,6 @@ def _one_blas_thread_when_small(fit):
 
 class SolverError(RuntimeError):
     """Base class for second-stage solver failures."""
-
-
-class RankDeficiencyError(SolverError):
-    """Singular normal matrix with ridge = 0; set ridge > 0 to regularize."""
 
 
 class SolverBudgetError(SolverError):
@@ -184,17 +182,12 @@ def fit_ridge(problem: RegressionProblem) -> Coefficients:
     residual of the least-squares problem itself (t - Phi beta, not that of
     the normal equations), refine the solution to the accuracy of a
     least-squares solve.  A system that is singular to working precision is
-    solved by lstsq on the stacked [Phi; sqrt(M ridge) I] at ridge > 0; at
-    ridge = 0 it raises RankDeficiencyError.  A problem is solved once:
+    solved by lstsq on the stacked [Phi; sqrt(M ridge) I]; at ridge = 0 that
+    is the minimum-norm least-squares solution.  A problem is solved once:
     fit_ridge and the warm start of fit_minimax share the solution and its
     whitening.
     """
-    coeff, factor = problem._ridge
-    if factor.singular and problem.ridge == 0.0:
-        M, m = problem.features.shape
-        count = f" ({M} rows < {m} features)" if M < m else ""
-        raise RankDeficiencyError(f"normal matrix is singular{count}; set ridge > 0")
-    return coeff
+    return problem._ridge[0]
 
 
 @dataclass(frozen=True)
@@ -205,16 +198,15 @@ class _RidgeFactor:
 
     With col the columns' 2-norms over sqrt(M), T = diag(1/col) L^-T, L L'
     the Cholesky factor of the column-scaled N, and gamma = L' diag(col)
-    beta.  Where that matrix is singular to working precision
-    (``singular``), T = diag(1/col) V_r S_r^-1 from the SVD U S V' of the
-    stacked scaled rows [Phi_s; diag(root)], cut at lstsq's rank tolerance,
-    and gamma = S_r V_r' diag(col) beta: r <= m coordinates, in which the
-    directions that the SVD cannot resolve are dropped.
+    beta.  Where that matrix is singular to working precision, T =
+    diag(1/col) V_r S_r^-1 from the SVD U S V' of the stacked scaled rows
+    [Phi_s; diag(root)], cut at lstsq's rank tolerance, and gamma = S_r V_r'
+    diag(col) beta: r <= m coordinates, in which the directions that the
+    SVD cannot resolve are dropped.
     """
 
     whitening: np.ndarray  # T, (m, r)
     start: np.ndarray  # gamma of the ridge solution, (r,)
-    singular: bool
 
 
 @_one_blas_thread_when_small
@@ -244,7 +236,7 @@ def _solve_ridge(problem: RegressionProblem):
         _, sv, vt = np.linalg.svd(stacked, full_matrices=False)
         # lstsq's rank: the singular values above eps max(M + m, m) times the largest
         r = int(np.count_nonzero(sv > np.finfo(float).eps * max(stacked.shape) * sv[0]))
-        right, left, singular = vt[:r].T / sv[:r], sv[:r, None] * vt[:r], True
+        right, left = vt[:r].T / sv[:r], sv[:r, None] * vt[:r]
     else:
         linv = np.linalg.inv(lower)  # numpy has no triangular solve
 
@@ -254,12 +246,12 @@ def _solve_ridge(problem: RegressionProblem):
         g = solve(phi_s.T @ t)
         for _ in range(3):
             g = g + solve(phi_s.T @ (t - phi_s @ g) - shift * g)
-        right, left, singular = linv.T, lower.T, False
+        right, left = linv.T, lower.T
     beta = g / col
     beta.flags.writeable = False  # shared by every fit of the problem
     coeff = Coefficients(beta=beta, objective=mean_squared_objective(beta, problem), certificate=0.0)
     col = col / np.sqrt(M)
-    return coeff, _RidgeFactor(right / col[:, None], left @ (col * beta), singular)
+    return coeff, _RidgeFactor(right / col[:, None], left @ (col * beta))
 
 
 def _weighted_lower_bound(u: np.ndarray, problem: RegressionProblem):
@@ -412,18 +404,18 @@ def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> C
     the uniform ridge term.
 
     ``tolerance`` bounds the certified suboptimality gap; None means 1e-6
-    relative to the objective at the warm start (the ridge solution, or
-    lstsq's where the ridge normal matrix is singular), which also seeds
-    the interior point and stays a candidate iterate.  The interior point
-    runs in gamma, beta = T gamma with T the ridge fit's whitening (see
-    _RidgeFactor): r <= m coordinates in which Phi'Phi/M + ridge I is the
-    identity.  It stops once its duality measure is below tolerance / 100.
-    Each iterate it returns is read back as beta and certified by its own
-    multipliers: the closed-form epigraph dual at ridge > 0, L(u) at ridge
-    0, where an L(u) that exceeds the best objective reached by more than 8
-    machine epsilons relative is discarded; the bound 0 always stands.
-    With ridge > 0 and the gap still open, an active-set exchange on the
-    equality KKT system tightens both sides.  If the gap stays above
+    relative to the objective at the warm start, the ridge solution, which
+    also seeds the interior point and stays a candidate iterate.  The
+    interior point runs in gamma, beta = T gamma with T the ridge fit's
+    whitening (see _RidgeFactor): r <= m coordinates in which Phi'Phi/M +
+    ridge I is the identity.  It stops once its duality measure is below
+    tolerance / 100.  Each iterate it returns is read back as beta and
+    certified by its own multipliers: the closed-form epigraph dual at
+    ridge > 0, L(u) at ridge 0, where an L(u) that exceeds the best
+    objective reached by more than 8 machine epsilons relative is
+    discarded; the bound 0 always stands.  With ridge > 0 and the gap still
+    open, an active-set exchange on the equality KKT system, started from
+    the interior point's last multipliers, tightens both sides.  If the gap stays above
     tolerance, raises SolverBudgetError carrying the best iterate.
     """
     if tolerance is not None and not tolerance > 0:
@@ -480,7 +472,7 @@ def fit_minimax(problem: RegressionProblem, tolerance: float | None = None) -> C
                  exchange_steps=0)
     if lam > 0.0 and best_f - best_lb > tolerance:
         best_beta, best_f, best_lb, trace["exchange_steps"] = _active_set_refine(
-            problem, best_beta, best_f, best_lb, tolerance
+            problem, best_beta, best_f, best_lb, tolerance, iterates[-1][1]
         )
         gaps["active-set exchange"] = best_f - best_lb
 
@@ -522,6 +514,7 @@ def _active_set_refine(
     best_f: float,
     best_lb: float,
     tolerance: float,
+    z: np.ndarray,
 ):
     """Exchange iteration on the active constraint set (ridge > 0 only).
 
@@ -538,21 +531,25 @@ def _active_set_refine(
     steps taken.
 
     The first working set holds the rows near the largest residual at the
-    best iterate.  On the protocol's training problems it closes the gap in
-    one step; with parameters drawn from [1, 1000] it often misses rows
-    that are active at the optimum, and the exchange adds them over tens to
-    hundreds of steps.
+    best iterate and the rows whose multiplier in z, the interior point's
+    last (2M,) multipliers ordered as _ipm_epigraph returns them, is above
+    1e-6 of the largest.  With parameters drawn from [1, 1000] the residual
+    rows alone often miss rows that are active at the optimum, which the
+    exchange can take its whole budget to add.
     """
     phi, t = problem.features, problem.targets
     M, m = phi.shape
     best_beta = beta_start
 
-    # at most m+1 constraints can be active at a nondegenerate vertex
+    # at most m+1 constraints can be active at a nondegenerate vertex: keep
+    # those with the largest max(|r_i| / tau, z_i / max z)
     r = t - phi @ beta_start
     tau = float(np.max(np.abs(r)))
-    rows = np.flatnonzero(np.abs(r) >= tau * (1.0 - 1e-4))
+    z_row = np.maximum(z[:M], z[M:])
+    z_row = tau * z_row / np.max(z_row)  # on the scale of |r|
+    rows = np.flatnonzero((np.abs(r) >= tau * (1.0 - 1e-4)) | (z_row > 1e-6 * tau))
     if rows.size > m + 1:
-        rows = rows[np.argsort(np.abs(r[rows]))[-(m + 1) :]]
+        rows = rows[np.argsort(np.maximum(np.abs(r), z_row)[rows])[-(m + 1) :]]
     sides = np.where(r[rows] >= 0, 1.0, -1.0)
 
     for steps in range(1, 3 * (m + 1) + 121):  # exchange budget
